@@ -1,7 +1,7 @@
 """Performance-bench harness for the simulation engine (``python -m repro bench``).
 
-PR 4 made the engine fast (incremental max-min, kernel tombstones, a
-timer-wheel option) under the contract that **no simulated result may
+The simulation engine's fast paths (incremental max-min, kernel
+tombstones) live under the contract that **no simulated result may
 change**.  This package is the other half of that contract: it measures
 the speedups and simultaneously re-checks fast-vs-reference equality on
 every run, writing both to ``BENCH_engine.json`` so the perf trajectory
@@ -15,7 +15,6 @@ from repro.bench.engine import (
     BenchReport,
     bench_fig6,
     bench_kernel_cancel,
-    bench_kernel_dispatch,
     bench_maxmin_churn,
     bench_maxmin_solver,
     bench_network_faults,
@@ -27,7 +26,6 @@ __all__ = [
     "BenchReport",
     "bench_maxmin_solver",
     "bench_maxmin_churn",
-    "bench_kernel_dispatch",
     "bench_kernel_cancel",
     "bench_fig6",
     "bench_network_faults",

@@ -3,7 +3,7 @@
 Every benchmark here does two jobs at once:
 
 1. **time** the fast path against the reference implementation
-   (``_maxmin_rates_reference`` / the plain binary heap), and
+   (the fast max-min solver against ``_maxmin_rates_reference``), and
 2. **verify** that both produce bit-for-bit identical simulated results
    — rates, completion times, exported metrics.
 
@@ -27,7 +27,6 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional
 
-from repro.simnet.engine import use_engine
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network, use_solver
 
@@ -57,7 +56,7 @@ class BenchReport:
         if result.get("identical") is False:
             self.divergence = True
         # A same-seed rerun that exports different bytes is as
-        # disqualifying as a cross-engine divergence.
+        # disqualifying as a fast-vs-reference divergence.
         if result.get("deterministic") is False:
             self.divergence = True
 
@@ -254,7 +253,7 @@ def bench_maxmin_churn(
 
 
 # ---------------------------------------------------------------------------
-# micro: kernel dispatch
+# micro: kernel cancel
 # ---------------------------------------------------------------------------
 
 
@@ -273,31 +272,6 @@ def _timer_storm(
     t0 = time.perf_counter()
     sim.run()
     return time.perf_counter() - t0
-
-
-def bench_kernel_dispatch(
-    timers: int = 200_000, repeats: int = 3, seed: int = 2011, slot: float = 0.05
-) -> dict:
-    """Raw event dispatch: binary heap vs the slotted timer wheel."""
-    heap_s = _best_of(lambda: _timer_storm(Simulator(), timers, 0.0, seed), repeats)
-    wheel_s = _best_of(
-        lambda: _timer_storm(Simulator(timer_slot=slot), timers, 0.0, seed), repeats
-    )
-    heap_end = Simulator()
-    _timer_storm(heap_end, timers, 0.0, seed)
-    wheel_end = Simulator(timer_slot=slot)
-    _timer_storm(wheel_end, timers, 0.0, seed)
-    return {
-        "timers": timers,
-        "repeats": repeats,
-        "timer_slot": slot,
-        "heap_s": heap_s,
-        "wheel_s": wheel_s,
-        "heap_events_per_s": timers / heap_s,
-        "wheel_events_per_s": timers / wheel_s,
-        "speedup": heap_s / wheel_s if wheel_s > 0 else float("inf"),
-        "identical": heap_end.now == wheel_end.now,
-    }
 
 
 def bench_kernel_cancel(
@@ -338,12 +312,11 @@ def bench_fig6(
     seed: int = 2011,
     repeats: int = 5,
 ) -> dict:
-    """Figure-6 WordCount at each size, full fast path vs full reference.
+    """Figure-6 WordCount at each size, fast vs reference max-min solver.
 
-    The fast leg is the process default — vectorized flow engine plus
-    fast solver; the reference leg pins *both* knobs back (``use_engine``
-    + ``use_solver``), so the ratio measures the whole optimization
-    stack.  Exports (the full Hadoop and MPI-D metrics dicts) are
+    The fast leg is the process default; the reference leg pins
+    ``use_solver("reference")``, so the ratio measures the solver
+    alone.  Exports (the full Hadoop and MPI-D metrics dicts) are
     serialised with sorted keys and compared as strings — bit-for-bit,
     the same check the determinism CI applies.  Each leg is timed
     best-of-N with the reference leg first, so the fast leg never gets
@@ -362,7 +335,7 @@ def bench_fig6(
             # Collect the previous leg's cycle garbage (tens of
             # thousands of flow/event closures) *outside* the timed
             # window — each leg is measured on its own allocations.
-            with use_engine("reference"), use_solver("reference"):
+            with use_solver("reference"):
                 gc.collect()
                 t0 = time.perf_counter()
                 ref = f6.run(sizes_gb=(size,), seed=seed)
@@ -406,7 +379,7 @@ def bench_network_faults(
     rates: tuple[float, ...] = (120.0, 900.0),
     partitions: tuple[float, ...] = (5.0,),
 ) -> dict:
-    """The lossy-network sweep (PR 3's stress workload), fast vs reference."""
+    """The lossy-network sweep, fast vs reference max-min solver."""
     from repro.experiments import network_faults as nf
 
     t0 = time.perf_counter()
@@ -417,7 +390,7 @@ def bench_network_faults(
         partition_durations=partitions,
     )
     fast_s = time.perf_counter() - t0
-    with use_engine("reference"), use_solver("reference"):
+    with use_solver("reference"):
         t0 = time.perf_counter()
         ref = nf.run(
             input_gb=input_gb,
@@ -540,23 +513,19 @@ def bench_scalability(
     horizon: float = 240.0,
     profile: bool = True,
 ) -> dict:
-    """Synthetic large clusters: vectorized vs reference flow engine.
+    """Synthetic large clusters: fast vs reference max-min solver.
 
-    Both legs run the *same fast solver* — this macro isolates the flow
-    engine (horizon batching, deferred solve flush, pooled ticks, shared
-    heartbeat ticks), not the solver.  Per cluster size it runs a
-    single Hadoop job (input scaled with workers, so heartbeat traffic
-    dominates as the cluster grows) and a multi-tenant arrival stream,
-    and reports wall time, dispatched-event counts, the engine speedup
-    and two correctness bits:
+    Per cluster size it runs a single Hadoop job (input scaled with
+    workers, so heartbeat traffic dominates as the cluster grows) and a
+    multi-tenant arrival stream, and reports wall time, dispatched-event
+    counts, the solver speedup and two correctness bits:
 
-    * ``identical`` — vectorized exports == reference exports,
+    * ``identical`` — fast-solver exports == reference-solver exports,
       bit-for-bit (sorted-key JSON string compare);
-    * ``deterministic`` — two same-seed vectorized runs export
-      byte-identical results (the arena/slot reuse must not leak state
-      between runs).
+    * ``deterministic`` — two same-seed fast runs export byte-identical
+      results (the arena/slot reuse must not leak state between runs).
 
-    When ``profile`` is set, one *extra, untimed* vectorized run per
+    When ``profile`` is set, one *extra, untimed* fast run per
     (nodes, kind) rides with a :class:`~repro.simnet.profiler.SelfProfiler`
     attached, and its wall-clock attribution snapshot lands in
     ``entry[kind]["self_profile"]``.  The profiler never touches the
@@ -566,7 +535,7 @@ def bench_scalability(
     from repro.simnet.profiler import SelfProfiler
 
     per_nodes: dict = {}
-    total_vec = total_ref = 0.0
+    total_fast = total_ref = 0.0
     all_identical = True
     for nodes in node_counts:
         entry: dict = {}
@@ -584,22 +553,22 @@ def bench_scalability(
                 ),
             ),
         ):
-            with use_engine("reference"):
+            with use_solver("reference"):
                 ref_wall, ref_export, ref_events, sim_elapsed = runner()
-            vec_wall, vec_export, vec_events, _ = runner()
-            vec_wall2, vec_export2, _, _ = runner()
-            vec_wall = min(vec_wall, vec_wall2)
-            identical = vec_export == ref_export
+            fast_wall, fast_export, fast_events, _ = runner()
+            fast_wall2, fast_export2, _, _ = runner()
+            fast_wall = min(fast_wall, fast_wall2)
+            identical = fast_export == ref_export
             all_identical = all_identical and identical
-            total_vec += vec_wall
+            total_fast += fast_wall
             total_ref += ref_wall
             entry[kind] = {
-                "vectorized_s": vec_wall,
+                "fast_s": fast_wall,
                 "reference_s": ref_wall,
-                "speedup": ref_wall / vec_wall if vec_wall > 0 else float("inf"),
+                "speedup": ref_wall / fast_wall if fast_wall > 0 else float("inf"),
                 "identical": identical,
-                "deterministic": vec_export == vec_export2,
-                "events_vectorized": vec_events,
+                "deterministic": fast_export == fast_export2,
+                "events_fast": fast_events,
                 "events_reference": ref_events,
                 "sim_elapsed_s": sim_elapsed,
             }
@@ -614,9 +583,9 @@ def bench_scalability(
         "mib_per_worker": mib_per_worker,
         "horizon_s": horizon,
         "per_nodes": per_nodes,
-        "total_fast_s": total_vec,
+        "total_fast_s": total_fast,
         "total_reference_s": total_ref,
-        "speedup": total_ref / total_vec if total_vec > 0 else float("inf"),
+        "speedup": total_ref / total_fast if total_fast > 0 else float("inf"),
         "identical": all_identical,
         "deterministic": all(
             leg["deterministic"]
@@ -665,10 +634,6 @@ def run_bench(
         "maxmin_churn",
         bench_maxmin_churn(flows=churn_flows, repeats=repeats, seed=seed),
     )
-    say("micro: kernel dispatch (heap vs timer wheel)")
-    report.record(
-        "micro", "kernel_dispatch", bench_kernel_dispatch(timers=timers, repeats=repeats, seed=seed)
-    )
     say("micro: kernel cancel storm (tombstones)")
     report.record(
         "micro", "kernel_cancel", bench_kernel_cancel(timers=timers, repeats=repeats, seed=seed)
@@ -688,7 +653,7 @@ def run_bench(
     )
     scal_nodes = (100,) if quick else (200, 500, 1000)
     say(
-        "macro: scalability (engine A/B at "
+        "macro: scalability (solver A/B at "
         + ", ".join(str(n) for n in scal_nodes)
         + " nodes)"
     )

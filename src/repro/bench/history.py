@@ -25,7 +25,7 @@ from typing import Optional, Union
 DEFAULT_THRESHOLD = 0.25
 
 #: Wall-clock keys reported (lower is better) but never gated.
-_WALL_KEYS = ("fast_s", "run_s", "wheel_s", "total_fast_s")
+_WALL_KEYS = ("fast_s", "run_s", "total_fast_s")
 
 
 def flatten_metrics(report: dict) -> dict[str, float]:

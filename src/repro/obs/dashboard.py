@@ -15,8 +15,8 @@ third-party JS — one file you can open from disk or attach to a CI run):
   export summaries, ``BENCH_scalability.json`` flattened into a
   per-node-count speedup chart, and the bench-history speedup trends
   from ``benchmarks/*.jsonl`` — the cross-run companion to the
-  single-run replay view.  Gate failures (engine divergence, lost
-  determinism, a speedup ratio dropping past the regression threshold)
+  single-run replay view.  Gate failures (fast-vs-reference divergence,
+  lost determinism, a speedup ratio dropping past the regression threshold)
   surface as an alert list and highlight the trend chart.
 * :func:`render_fleet_page` / :func:`write_fleet_page` — the **fleet
   page**: the :class:`~repro.obs.fleet.FleetSummary` rollup of a
@@ -676,11 +676,11 @@ def _scalability_alerts(name: str, payload: dict) -> list[str]:
             leg = per_nodes[nodes][kind] or {}
             where = f"{name}: {kind} @ {nodes} nodes"
             if leg.get("identical") is False:
-                alerts.append(f"{where} — engines diverged")
+                alerts.append(f"{where} — fast and reference solvers diverged")
             if leg.get("deterministic") is False:
-                alerts.append(f"{where} — vectorized run not deterministic")
+                alerts.append(f"{where} — fast run not deterministic")
     if payload.get("identical") is False:
-        alerts.append(f"{name} — engine divergence (overall)")
+        alerts.append(f"{name} — solver divergence (overall)")
     if payload.get("deterministic") is False:
         alerts.append(f"{name} — determinism lost (overall)")
     return alerts

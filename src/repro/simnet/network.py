@@ -31,23 +31,17 @@ Pick the solver per network (``Network(sim, solver="reference")``), per
 process (the ``REPRO_MAXMIN_SOLVER`` environment variable), or lexically
 (:func:`use_solver`).
 
-Orthogonally to the solver, two *engines* advance the flow population
-between solves (see :mod:`repro.simnet.engine`):
-
-* ``reference`` — the original scalar loop: per-flow remaining-bytes
-  updates and per-flow/per-link byte accounting on every advance.
-* ``vectorized`` (default) — horizon batching: remaining/rate vectors
-  live in dense numpy arrays; one array op advances every flow to the
-  next rate-change epoch, one array scan finds that epoch and the flows
-  it finishes, and completion timers come from the kernel's pooled tick
-  arena.  Per-link byte/busy accounting is settled lazily (piecewise-
-  constant rate sums), which is float-equivalent but not bit-identical —
-  link utilization is reporting, not part of the simulated timeline.
-  Everything timeline-visible (rates, completion instants, delivered
-  bytes, event order) is bit-for-bit identical to the reference engine.
-
-Select with ``Network(sim, engine=...)``, the ``REPRO_FLOW_ENGINE``
-environment variable, or :func:`repro.simnet.engine.use_engine`.
+Between solves the flow population advances by *horizon batching*:
+remaining bytes and rates live in dense per-network slot lists, one
+pass advances every flow to the next rate-change epoch, one scan finds
+that epoch and the flows it finishes, and completion timers come from
+the kernel's pooled tick arena.  Same-instant joins and leaves defer
+the solve to one 0-delay tick per instant.  Per-link byte/busy
+accounting is settled lazily (piecewise-constant rate sums), which is
+float-equivalent but not bit-identical — link utilization is
+reporting, not part of the simulated timeline.  A scalar per-flow
+engine is kept as a test oracle (``tests/simnet/oracle.py``); rates,
+completion instants and delivered bytes match it bit-for-bit.
 """
 
 from __future__ import annotations
@@ -57,24 +51,9 @@ from contextlib import contextmanager
 from operator import attrgetter
 from typing import Iterable, Optional
 
-from repro.simnet import engine as _engine_mod
-from repro.simnet.engine import validate_engine
-from repro.simnet.kernel import Event, Simulator, Timeout
-
-try:  # pragma: no cover - numpy is part of the baked toolchain
-    import numpy as np
-except ImportError:  # pragma: no cover - reference engine works without it
-    np = None
+from repro.simnet.kernel import Event, Simulator
 
 _SOLVERS = ("fast", "reference")
-
-#: Active-flow count at which the vectorized engine's slot operations
-#: switch from plain float loops to whole-array numpy expressions.  The
-#: two paths compute the identical elementwise IEEE arithmetic — the
-#: threshold only trades numpy's fixed per-call cost against the Python
-#: loop's per-element cost, so results are bit-identical wherever it
-#: lands (tests pin it to 1 to force the bulk path at small n).
-_BULK_N = 64
 
 # Sort keys for the fast solver, hoisted: attrgetter beats a lambda in
 # the per-solve sorts and matches the reference's ordering exactly
@@ -145,8 +124,8 @@ class Link:
         self.bytes_carried = 0.0
         self.busy_time = 0.0
         self.up = True
-        # Vectorized-engine lazy accounting: the instant the byte/busy
-        # counters were last settled to.  Flow rates are piecewise
+        # Lazy accounting: the instant the byte/busy counters were last
+        # settled to.  Flow rates are piecewise
         # constant between solves, so the counters only need touching
         # right before a membership or rate change — at which point the
         # aggregate rate is summed on demand from the (still-old) flow
@@ -154,7 +133,7 @@ class Link:
         self._last_t = 0.0
 
     def _settle(self, now: float) -> None:
-        """Bring byte/busy counters up to ``now`` (vectorized engine).
+        """Bring byte/busy counters up to ``now``.
 
         Must run *before* any of this link's flows change rate or leave:
         the elapsed interval is integrated under the rates still in
@@ -221,7 +200,7 @@ class Flow:
         #: live the tracer records a happens-before edge flow -> waiter.
         self.waiter_sid = waiter_sid
         self._local_timer: Optional[Event] = None  # node-local drain timer
-        self.slot = -1  # dense-array slot index (vectorized engine only)
+        self.slot = -1  # dense slot index while active, -1 otherwise
 
 
 class Network:
@@ -239,22 +218,14 @@ class Network:
 
     _EPS = 1e-9
 
-    def __init__(
-        self,
-        sim: Simulator,
-        solver: Optional[str] = None,
-        engine: Optional[str] = None,
-    ):
+    def __init__(self, sim: Simulator, solver: Optional[str] = None):
         solver = DEFAULT_SOLVER if solver is None else solver
         if solver not in _SOLVERS:
             raise ValueError(
                 f"unknown max-min solver {solver!r} (want one of {_SOLVERS})"
             )
-        engine = _engine_mod.DEFAULT_ENGINE if engine is None else engine
-        validate_engine(engine)
         self.sim = sim
         self.solver = solver
-        self.engine = engine
         self._links: dict[str, Link] = {}
         self._flows: set[Flow] = set()
         self._last_t = 0.0
@@ -273,36 +244,29 @@ class Network:
         self._dirty: set[Link] = set()
         #: The currently pending completion timer; superseded timers are
         #: tombstoned so the kernel skips their dispatch entirely.
-        self._pending_timer: Optional[Timeout] = None
+        self._pending_timer: Optional[Event] = None
         # -- solver effort counters (plain ints: free when obs is off) ----------
         self.rate_recomputes = 0  #: solver invocations that did real work
         self.rate_recompute_flows = 0  #: flows whose rate was re-derived
         self.rate_skips = 0  #: solves skipped because nothing was dirty
-        # -- vectorized-engine state (horizon batching) -------------------------
+        # -- horizon-batching state --------------------------------------------
         # Active flows live in dense slots 0..n-1 of the remaining/rate
         # lists; a departing flow is swap-removed (the last slot moves
-        # into the hole and its flow's ``slot`` is patched).  Below
-        # ``_BULK_N`` active flows the slot ops run as plain float loops
-        # (numpy's fixed per-call cost loses at small n); above it they
-        # switch to whole-array numpy expressions.  Both paths perform
-        # the identical elementwise IEEE arithmetic, so the trajectories
-        # are bit-for-bit the same wherever the threshold lands.  The
-        # slots are private to this Network — a fresh Network never
-        # inherits another's, so arena reuse cannot leak across runs.
-        self._vec = engine == "vectorized"
-        if self._vec:
-            self._vrem: list[float] = []
-            self._vrate: list[float] = []
-            self._vflows: list[Flow] = []
-            # Solve flush: reallocations are deferred to one pooled tick
-            # per *instant*, so a burst of same-time joins/leaves (the
-            # lockstep-mapper spill storm) costs a single solve.  The
-            # intermediate allocations a per-change solve would compute
-            # are never observable — no simulated time passes between
-            # the changes — and superseded completion timers are
-            # tombstoned eagerly by the token bump.
-            self._flush_tick: Optional[Event] = None
-            self._flush_when = -1.0
+        # into the hole and its flow's ``slot`` is patched).  The slots
+        # are private to this Network — a fresh Network never inherits
+        # another's, so arena reuse cannot leak across runs.
+        self._slot_rem: list[float] = []
+        self._slot_rate: list[float] = []
+        self._slot_flows: list[Flow] = []
+        # Solve flush: reallocations are deferred to one pooled tick per
+        # *instant*, so a burst of same-time joins/leaves (the lockstep-
+        # mapper spill storm) costs a single solve.  The intermediate
+        # allocations a per-change solve would compute are never
+        # observable — no simulated time passes between the changes —
+        # and superseded completion timers are tombstoned eagerly by the
+        # token bump.
+        self._flush_tick: Optional[Event] = None
+        self._flush_when = -1.0
 
     def _next_seq(self) -> int:
         self._flow_seq += 1
@@ -378,11 +342,7 @@ class Network:
             raise ValueError(f"rate cap must be positive: {rate_cap}")
         flow = Flow(self, path_t, nbytes, rate_cap=rate_cap, waiter_sid=waiter_sid)
         if latency > 0:
-            if self._vec:
-                self.sim.tick(latency, lambda ev: self._start_flow(flow))
-            else:
-                start = self.sim.timeout(latency)
-                start.callbacks.append(lambda ev: self._start_flow(flow))
+            self.sim.tick(latency, lambda ev: self._start_flow(flow))
         else:
             self._start_flow(flow)
         return flow
@@ -521,30 +481,11 @@ class Network:
                     flow.done.succeed(flow.nbytes)
 
                 delay = flow.remaining / flow.rate_cap
-                if self._vec:
-                    flow._local_timer = self.sim.tick(delay, finish_local)
-                else:
-                    timer = self.sim.timeout(delay)
-                    timer.callbacks.append(finish_local)
-                    flow._local_timer = timer
+                flow._local_timer = self.sim.tick(delay, finish_local)
             return
         self._advance()
         self._flows.add(flow)
-        if self._vec:
-            flow.slot = len(self._vflows)
-            self._vrem.append(flow.remaining)
-            self._vrate.append(0.0)
-            self._vflows.append(flow)
-            now = self.sim.now
-            for link in flow.path:
-                if link._last_t != now:
-                    link._settle(now)
-                link._flows.add(flow)
-                self._dirty.add(link)
-        else:
-            for link in flow.path:
-                link._flows.add(flow)
-                self._dirty.add(link)
+        self._join(flow)
         obs = self.sim.obs
         if obs.enabled:
             route = "->".join(link.name for link in flow.path)
@@ -562,43 +503,38 @@ class Network:
         self._last_t = now
         if dt <= 0:
             return
-        if self._vec:
-            # Horizon batching: every active flow advances in one pass.
-            # ``rem[i] -= rate[i]*dt`` is the same IEEE multiply/subtract
-            # whether the pass is the small-n float loop or the bulk
-            # numpy expression, so the remaining-bytes trajectories are
-            # bit-identical.  Link byte accounting settles lazily at the
-            # next rate change.
-            rem = self._vrem
-            n = len(rem)
-            if n:
-                if n < _BULK_N or np is None:
-                    rate = self._vrate
-                    for i in range(n):
-                        rem[i] -= rate[i] * dt
-                else:
-                    r = np.fromiter(rem, dtype=float, count=n)
-                    r -= np.fromiter(self._vrate, dtype=float, count=n) * dt
-                    self._vrem = r.tolist()
-            return
-        busy: set[Link] = set()
-        for flow in self._flows:
-            moved = flow.rate * dt
-            flow.remaining -= moved
-            for link in flow.path:
-                link.bytes_carried += moved
-                busy.add(link)
-        for link in busy:
-            link.busy_time += dt
+        # Horizon batching: every active flow advances in one pass.  Link
+        # byte accounting settles lazily at the next rate change.
+        rem = self._slot_rem
+        rate = self._slot_rate
+        for i in range(len(rem)):
+            rem[i] -= rate[i] * dt
 
-    # -- vectorized-engine slot bookkeeping ------------------------------------
-    def _vec_remove(self, flow: Flow) -> None:
+    # -- slot bookkeeping ----------------------------------------------------------
+    def _join(self, flow: Flow) -> None:
+        """Attach a starting flow to a fresh slot and to its links.
+
+        Each link's lazy byte/busy counters settle before the membership
+        change (the mirror of :meth:`_leave_links`).
+        """
+        flow.slot = len(self._slot_flows)
+        self._slot_rem.append(flow.remaining)
+        self._slot_rate.append(0.0)
+        self._slot_flows.append(flow)
+        now = self.sim.now
+        for link in flow.path:
+            if link._last_t != now:
+                link._settle(now)
+            link._flows.add(flow)
+            self._dirty.add(link)
+
+    def _free_slot(self, flow: Flow) -> None:
         """Swap-remove ``flow`` from the dense slots, syncing its scalar
         ``remaining`` (observable through the flow handle) on the way out."""
         slot = flow.slot
-        rem = self._vrem
-        rate = self._vrate
-        flows = self._vflows
+        rem = self._slot_rem
+        rate = self._slot_rate
+        flows = self._slot_flows
         last = len(flows) - 1
         flow.remaining = rem[slot]
         if slot != last:
@@ -613,24 +549,19 @@ class Network:
         flow.slot = -1
 
     def _leave_links(self, flow: Flow) -> None:
-        """Detach a departing flow from its links (both engines).
+        """Detach a departing flow from its slot and its links.
 
-        The vectorized path settles each link's lazy byte/busy counters
-        before the membership change (the departing flow's rate must
-        still be in the sum for the interval it was flowing).
+        Each link's lazy byte/busy counters settle before the membership
+        change (the departing flow's rate must still be in the sum for
+        the interval it was flowing).
         """
-        if self._vec:
-            self._vec_remove(flow)
-            now = self.sim.now
-            for link in flow.path:
-                if link._last_t != now:
-                    link._settle(now)
-                link._flows.discard(flow)
-                self._dirty.add(link)
-        else:
-            for link in flow.path:
-                link._flows.discard(flow)
-                self._dirty.add(link)
+        self._free_slot(flow)
+        now = self.sim.now
+        for link in flow.path:
+            if link._last_t != now:
+                link._settle(now)
+            link._flows.discard(flow)
+            self._dirty.add(link)
 
     def _finish(self, flow: Flow) -> None:
         self._flows.discard(flow)
@@ -646,83 +577,35 @@ class Network:
         flow.done.succeed(flow.nbytes)
 
     def _reallocate(self) -> None:
+        """Queue the re-solve for this instant (one solve per instant)."""
         self._timer_token += 1
-        token = self._timer_token
         if self._pending_timer is not None:
             # The pending completion timer is superseded by whatever change
             # brought us here; tombstone it (the token check still guards
             # correctness, the cancel merely spares the kernel a dispatch).
             self._pending_timer.cancel()
             self._pending_timer = None
-
-        if self._vec:
-            now = self.sim.now
-            ft = self._flush_tick
-            if (
-                ft is not None
-                and self._flush_when == now
-                and ft.callbacks is not None
-            ):
-                return  # a flush is already queued for this instant
-            self._flush_when = now
-            self._flush_tick = self.sim.tick(0.0, self._flush)
-            return
-
-        # Deterministic completion order for simultaneous finishes: flows
-        # complete in start order, never in set-iteration order.
-        finished = sorted(
-            (f for f in self._flows if f.remaining <= self._EPS),
-            key=lambda f: f.seq,
-        )
-        for flow in finished:
-            self._finish(flow)
-        if not self._flows:
-            self._dirty.clear()
-            return
-
-        self._maxmin_rates()
-
-        # Single fused pass for the next completion *and* the flows it
-        # finishes (same arithmetic as the old min()-then-filter pair).
-        next_done = float("inf")
-        for f in self._flows:
-            if f.rate > 0:
-                t = f.remaining / f.rate
-                if t < next_done:
-                    next_done = t
-        if next_done == float("inf"):
-            # No flow can make progress: every active flow crosses a link with
-            # zero residual capacity, which progressive filling cannot produce
-            # with positive link capacities.  Guard anyway.
-            raise RuntimeError("network allocation produced starved flows")
-        # Pin the flows this timer finishes: float rounding can leave a
-        # residual below the clock's resolution, which would otherwise
-        # respawn zero-length timers forever.
-        limit = next_done * (1 + 1e-9)
-        targets = [
-            f for f in self._flows if f.rate > 0 and f.remaining / f.rate <= limit
-        ]
-        timer = self.sim.timeout(next_done)
-        timer.callbacks.append(lambda ev: self._on_timer(token, targets))
-        self._pending_timer = timer
+        now = self.sim.now
+        ft = self._flush_tick
+        if ft is not None and self._flush_when == now and ft.callbacks is not None:
+            return  # a flush is already queued for this instant
+        self._flush_when = now
+        self._flush_tick = self.sim.tick(0.0, self._flush)
 
     def _flush(self, ev: Event) -> None:
         self._flush_tick = None
-        self._reallocate_vec(self._timer_token)
+        self._reallocate_now()
 
     def _settle_pending(self) -> None:
         """Run a queued same-instant solve-flush immediately (test hook).
 
-        The vectorized engine defers the max-min solve to a 0-delay tick
-        so same-instant membership churn costs one solve.  Differential
-        tests that inspect rates *synchronously* after each op call this
-        first: it cancels the pending flush and solves now — the same
-        solve the tick would have run later this instant, so timelines
-        are unaffected.  No-op on the reference engine and when nothing
-        is queued.
+        The max-min solve is deferred to a 0-delay tick so same-instant
+        membership churn costs one solve.  Differential tests that
+        inspect rates *synchronously* after each op call this first: it
+        cancels the pending flush and solves now — the same solve the
+        tick would have run later this instant, so timelines are
+        unaffected.  No-op when nothing is queued.
         """
-        if not self._vec:
-            return
         ft = self._flush_tick
         if ft is None or ft.callbacks is None:
             return
@@ -730,118 +613,79 @@ class Network:
         # Clear the handle *before* solving so a follow-up `_reallocate`
         # never dedups against the cancelled tick.
         self._flush_tick = None
-        self._reallocate_vec(self._timer_token)
+        self._reallocate_now()
 
-    def _reallocate_vec(self, token: int) -> None:
-        """Vectorized half of :meth:`_reallocate`: the finished scan, the
-        next-completion horizon and its target set all come from array ops.
+    def _reallocate_now(self) -> None:
+        """The queued solve: finish drained flows, re-solve the rates and
+        arm the timer for the next completion horizon.
 
-        Equivalence with the scalar path: the finished scan compares the
-        same remaining values against the same epsilon and completes in
-        the same seq order; ``rem/rate`` per slot is the identical IEEE
-        division, and min-reduction over the same multiset of floats
-        returns the same value, so the completion timer lands on the same
-        instant with the same target flows.
+        Simultaneous finishes complete in start (seq) order.  The timer
+        pins every flow within a relative 1e-9 of the horizon: float
+        rounding can leave a residual below the clock's resolution, which
+        would otherwise respawn zero-length timers forever.
         """
-        rem = self._vrem
-        n = len(rem)
-        if n:
-            eps = self._EPS
-            if n < _BULK_N or np is None:
-                finished = [
-                    self._vflows[i] for i in range(n) if rem[i] <= eps
-                ]
-            else:
-                done = np.nonzero(
-                    np.fromiter(rem, dtype=float, count=n) <= eps
-                )[0]
-                finished = [self._vflows[i] for i in done]
-            if finished:
-                if len(finished) > 1:
-                    finished.sort(key=lambda f: f.seq)
-                for flow in finished:
-                    self._finish(flow)
+        token = self._timer_token
+        rem = self._slot_rem
+        eps = self._EPS
+        finished = [self._slot_flows[i] for i in range(len(rem)) if rem[i] <= eps]
+        if finished:
+            if len(finished) > 1:
+                finished.sort(key=lambda f: f.seq)
+            for flow in finished:
+                self._finish(flow)
         if not self._flows:
             self._dirty.clear()
             return
 
         self._maxmin_rates()
 
-        rem = self._vrem
-        rate = self._vrate
+        rate = self._slot_rate  # rebound by _sync_rates
         n = len(rem)
         inf = float("inf")
-        if n < _BULK_N or np is None:
-            next_done = inf
-            for i in range(n):
-                r = rate[i]
-                if r > 0.0:
-                    t = rem[i] / r
-                    if t < next_done:
-                        next_done = t
-            if next_done == inf:
-                raise RuntimeError(
-                    "network allocation produced starved flows"
-                )
-            limit = next_done * (1 + 1e-9)
-            target_slots = [
-                i
-                for i in range(n)
-                if rate[i] > 0.0 and rem[i] / rate[i] <= limit
-            ]
-        else:
-            # Rate-0 slots divide to inf and drop out of the min,
-            # mirroring the scalar ``if rate > 0`` guard (a finished
-            # scan just ran, so every remaining slot has rem > eps — no
-            # 0/0 can occur).
-            with np.errstate(divide="ignore"):
-                q = np.fromiter(rem, dtype=float, count=n) / np.fromiter(
-                    rate, dtype=float, count=n
-                )
-            next_done = float(q.min())
-            if next_done == inf:
-                raise RuntimeError(
-                    "network allocation produced starved flows"
-                )
-            limit = next_done * (1 + 1e-9)
-            target_slots = np.nonzero(q <= limit)[0]
+        next_done = inf
+        for i in range(n):
+            r = rate[i]
+            if r > 0.0:
+                t = rem[i] / r
+                if t < next_done:
+                    next_done = t
+        if next_done == inf:
+            # No flow can make progress: every active flow crosses a link
+            # with zero residual capacity, which progressive filling cannot
+            # produce with positive link capacities.  Guard anyway.
+            raise RuntimeError("network allocation produced starved flows")
+        limit = next_done * (1 + 1e-9)
+        target_slots = [
+            i for i in range(n) if rate[i] > 0.0 and rem[i] / rate[i] <= limit
+        ]
         self._pending_timer = self.sim.tick(
-            next_done, lambda ev: self._on_timer_vec(token, target_slots)
+            next_done, lambda ev: self._on_timer(token, target_slots)
         )
 
-    def _on_timer_vec(self, token: int, target_slots) -> None:
+    def _on_timer(self, token: int, target_slots: list[int]) -> None:
         if token != self._timer_token:
             return
         self._pending_timer = None
         self._advance()
         # The token match proves no reallocation ran since this timer was
         # scheduled, so the captured slot indices are still the same flows.
-        rem = self._vrem
+        rem = self._slot_rem
         for i in target_slots:
             rem[i] = 0.0
         self._reallocate()
 
-    def _on_timer(self, token: int, targets: list[Flow]) -> None:
-        if token != self._timer_token:
-            return
-        self._pending_timer = None
-        self._advance()
-        for flow in targets:
-            flow.remaining = 0.0
-        self._reallocate()
-
     def _sync_rates(self) -> None:
-        """Mirror solver-assigned rates into the dense array (vectorized
-        engine).  One batch write: flows outside the solved component
-        kept their old rate, so rewriting every active slot from the
-        authoritative ``flow.rate`` attributes is always correct.
+        """Mirror solver-assigned rates into the slot list.  One batch
+        write: flows outside the solved component kept their old rate, so
+        rewriting every active slot from the authoritative ``flow.rate``
+        attributes is always correct.
         """
-        self._vrate = [f.rate for f in self._vflows]
+        self._slot_rate = [f.rate for f in self._slot_flows]
 
     def _settle_component(self, flows: Iterable[Flow]) -> None:
-        """Settle every link the solver is about to re-rate (vectorized
-        engine).  Must run before the solver zeroes any component flow's
-        rate — the byte integral needs the rates still in force."""
+        """Settle every link the solver is about to re-rate.  Must run
+        before the solver zeroes any component flow's rate — the byte
+        integral needs the rates still in force."""
         now = self.sim.now
         for f in flows:
             for link in f.path:
@@ -851,31 +695,26 @@ class Network:
     def settle_accounting(self) -> None:
         """Bring every link's lazy byte/busy counters up to ``sim.now``.
 
-        No-op on the reference engine (which settles eagerly).  Call
-        before reading :attr:`Link.bytes_carried` / :attr:`Link.busy_time`
-        or :meth:`Link.utilization` mid-run.
+        Call before reading :attr:`Link.bytes_carried` /
+        :attr:`Link.busy_time` or :meth:`Link.utilization` mid-run.
         """
-        if self._vec:
-            now = self.sim.now
-            for link in self._links.values():
-                if link._last_t != now:
-                    link._settle(now)
+        now = self.sim.now
+        for link in self._links.values():
+            if link._last_t != now:
+                link._settle(now)
 
     def _maxmin_rates(self) -> None:
-        """Recompute the max-min fair allocation with the configured solver."""
+        """Recompute the max-min fair allocation with the configured solver
+        (called only while at least one flow is active)."""
         if self.solver == "fast":
             self._maxmin_rates_fast()
         else:
             self._dirty.clear()
-            if self._flows:
-                self.rate_recomputes += 1
-                self.rate_recompute_flows += len(self._flows)
-            if self._vec and self._flows:
-                self._settle_component(self._flows)
-                self._maxmin_rates_reference()
-                self._sync_rates()
-            else:
-                self._maxmin_rates_reference()
+            self.rate_recomputes += 1
+            self.rate_recompute_flows += len(self._flows)
+            self._settle_component(self._flows)
+            self._maxmin_rates_reference()
+            self._sync_rates()
 
     def _maxmin_rates_reference(self) -> None:
         """Progressive filling over all links touched by active flows.
@@ -958,12 +797,9 @@ class Network:
             if obs.enabled:
                 obs.metrics.counter("net.rate_recomputes").add()
                 obs.metrics.counter("net.rate_recompute_flows").add(len(self._flows))
-            if self._vec:
-                self._settle_component(self._flows)
-                self._solve_component(self._flows)
-                self._sync_rates()
-            else:
-                self._solve_component(self._flows)
+            self._settle_component(self._flows)
+            self._solve_component(self._flows)
+            self._sync_rates()
             return
         # Closure: every flow sharing a link (transitively) with a dirty
         # link.  A dirty link with no flows contributes nothing — its old
@@ -992,12 +828,9 @@ class Network:
         if obs.enabled:
             obs.metrics.counter("net.rate_recomputes").add()
             obs.metrics.counter("net.rate_recompute_flows").add(len(flows))
-        if self._vec:
-            self._settle_component(flows)
-            self._solve_component(flows)
-            self._sync_rates()
-        else:
-            self._solve_component(flows)
+        self._settle_component(flows)
+        self._solve_component(flows)
+        self._sync_rates()
 
     def _solve_component(self, flows: set[Flow]) -> None:
         """Progressive filling restricted to one closed component.

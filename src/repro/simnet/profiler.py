@@ -5,9 +5,8 @@ runs, but only as a guess from event counts — nothing attributed *host*
 time to event categories.  :class:`SelfProfiler` closes that gap: when
 attached to a :class:`~repro.simnet.kernel.Simulator` it bins the wall
 time of every dispatched event by what the event was for (heartbeat,
-flow, scheduler, task, timer-wheel bookkeeping, everything-else kernel
-work), so "heartbeats dominate" becomes a measured breakdown future
-perf PRs can gate on.
+flow, scheduler, task, everything-else kernel work), so "heartbeats
+dominate" becomes a measured breakdown future perf PRs can gate on.
 
 Two properties the bench harness depends on:
 
@@ -29,17 +28,24 @@ from __future__ import annotations
 import time
 from typing import Callable, Optional
 
-#: Attribution bins, in report order.  ``timer-wheel`` is pop/peek
-#: bookkeeping (only nonzero when the slotted wheel is configured);
-#: ``kernel`` is pure-heap pop overhead plus anything unclassified.
-BINS = ("heartbeat", "flow", "scheduler", "task", "timer-wheel", "kernel")
+#: Attribution bins, in report order.  ``kernel`` is heap pop overhead
+#: plus anything unclassified.
+BINS = ("heartbeat", "flow", "scheduler", "task", "kernel")
 
 #: Ordered substring rules mapping an event label to a bin.  First hit
-#: wins, so the specific task/tracker names come before the broad
-#: class-name rules.  Labels are derived by the kernel from the event's
-#: first callback: ``ClassName.method`` for bound methods, the process
-#: name for process resumptions, ``__qualname__`` for plain functions.
+#: wins.  Labels are derived by the kernel from the event's first
+#: callback: ``ClassName.method`` for bound methods, the process name
+#: for process resumptions, ``__qualname__`` for plain functions.
 _RULES: tuple[tuple[str, str], ...] = (
+    # Flow-layer classes first: their methods and closures are flow work
+    # whatever they are called (``RateDevice._reschedule_now`` is not
+    # scheduling, though "reschedule" contains "sched").
+    ("network.", "flow"),
+    ("link.", "flow"),
+    ("flow.", "flow"),
+    ("ratedevice.", "flow"),
+    ("slotpool.", "flow"),
+    ("store.", "flow"),
     # Heartbeat machinery: tasktracker heartbeat loops + expiry sweeps.
     ("tracker", "heartbeat"),
     ("heartbeat", "heartbeat"),
@@ -60,12 +66,10 @@ _RULES: tuple[tuple[str, str], ...] = (
     ("sweep", "scheduler"),
     ("job", "scheduler"),
     ("engine", "scheduler"),
-    # Flow/transport: the network fluid solver and rate devices.
+    # Flow/transport labels that are not flow-layer methods.
     ("network", "flow"),
     ("flow", "flow"),
     ("link", "flow"),
-    ("ratedevice", "flow"),
-    ("slotpool", "flow"),
     ("store", "flow"),
     ("flush", "flow"),
     ("jetty", "flow"),
@@ -100,9 +104,9 @@ class SelfProfiler:
         leg: str = "",
     ) -> None:
         self.clock: Callable[[], float] = clock or time.perf_counter
-        #: Free-form tag for which engine/solver leg this run used
-        #: (e.g. ``"reference"`` / ``"vectorized"``); carried into the
-        #: snapshot so bench exports can group breakdowns per leg.
+        #: Free-form tag for which bench leg this run belongs to (e.g.
+        #: ``"single_job@100"``); carried into the snapshot so bench
+        #: exports can group breakdowns per leg.
         self.leg = leg
         #: bin -> [events, wall_seconds]
         self.bins: dict[str, list] = {b: [0, 0.0] for b in BINS}

@@ -19,12 +19,11 @@ from repro.bench.engine import (
     _star_network,
     _timer_storm,
     bench_kernel_cancel,
-    bench_kernel_dispatch,
     bench_maxmin_churn,
     bench_maxmin_solver,
     bench_scalability,
 )
-from repro.simnet.engine import use_engine
+from tests.simnet.oracle import use_scalar_oracle
 
 
 class TestReport:
@@ -99,10 +98,6 @@ class TestMicroBenches:
         assert c["events_dispatched"] > 0
         assert c["events_cancelled"] > 0  # superseded completion timers
 
-    def test_kernel_dispatch_heap_and_wheel_agree(self):
-        r = bench_kernel_dispatch(timers=500, repeats=1)
-        assert r["identical"] is True
-
     def test_kernel_cancel_counts_tombstones(self):
         r = bench_kernel_cancel(timers=400, cancel_fraction=0.5, repeats=1)
         assert r["identical"] is True
@@ -112,33 +107,33 @@ class TestMicroBenches:
 @pytest.mark.slow
 class TestScalabilityGolden:
     """Golden differential: the scalability macro's two workloads must
-    export bit-for-bit identical results under both flow engines at the
-    quick sweep size (~100 nodes).  The comparison here is independent
-    of the macro's own self-check — raw export strings, compared in the
+    export bit-for-bit identical results with the production flow engine
+    and with the scalar test oracle swapped into the cluster, at the
+    quick sweep size (~100 nodes).  Raw export strings, compared in the
     test."""
 
     NODES = 100
 
-    def test_single_job_exports_bit_for_bit(self):
-        with use_engine("reference"):
-            _, ref_export, ref_events, _ = _scalability_single_job(
-                self.NODES, seed=2011, mib_per_worker=16
-            )
-        _, vec_export, vec_events, _ = _scalability_single_job(
+    def test_single_job_exports_bit_for_bit(self, monkeypatch):
+        _, export, events, _ = _scalability_single_job(
             self.NODES, seed=2011, mib_per_worker=16
         )
-        assert vec_export == ref_export
-        assert ref_events > 0 and vec_events > 0
+        use_scalar_oracle(monkeypatch)
+        _, ref_export, ref_events, _ = _scalability_single_job(
+            self.NODES, seed=2011, mib_per_worker=16
+        )
+        assert export == ref_export
+        assert ref_events > 0 and events > 0
 
-    def test_multi_tenant_exports_bit_for_bit(self):
-        with use_engine("reference"):
-            _, ref_export, _, _ = _scalability_multi_tenant(
-                self.NODES, seed=2011, horizon=120.0
-            )
-        _, vec_export, _, _ = _scalability_multi_tenant(
+    def test_multi_tenant_exports_bit_for_bit(self, monkeypatch):
+        _, export, _, _ = _scalability_multi_tenant(
             self.NODES, seed=2011, horizon=120.0
         )
-        assert vec_export == ref_export
+        use_scalar_oracle(monkeypatch)
+        _, ref_export, _, _ = _scalability_multi_tenant(
+            self.NODES, seed=2011, horizon=120.0
+        )
+        assert export == ref_export
 
     def test_macro_reports_identical_and_deterministic(self):
         r = bench_scalability(
@@ -150,7 +145,7 @@ class TestScalabilityGolden:
         for leg in ("single_job", "multi_tenant"):
             assert entry[leg]["identical"] is True
             assert entry[leg]["deterministic"] is True
-            assert entry[leg]["events_vectorized"] > 0
+            assert entry[leg]["events_fast"] > 0
             assert entry[leg]["events_reference"] > 0
 
 
@@ -167,7 +162,6 @@ class TestCli:
         assert set(data["micro"]) == {
             "maxmin_solver",
             "maxmin_churn",
-            "kernel_dispatch",
             "kernel_cancel",
         }
         assert set(data["macro"]) == {"fig6", "scalability", "network_faults"}

@@ -1,10 +1,11 @@
-"""Golden determinism: experiment exports are solver-independent.
+"""Golden determinism: experiment exports are solver- and engine-independent.
 
-The fast max-min solver is only admissible because it changes *nothing*
-observable: every experiment export must serialise byte-identically
-under the fast and reference solvers, and identically across two
-same-seed runs of the same solver.  These are the end-to-end twins of
-the per-step differential tests in ``tests/simnet``.
+The fast max-min solver and the horizon-batching flow engine are only
+admissible because they change *nothing* observable: every experiment
+export must serialise byte-identically under the fast and reference
+solvers, with the scalar flow-engine oracle swapped into the clusters,
+and identically across two same-seed runs.  These are the end-to-end
+twins of the per-step differential tests in ``tests/simnet``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.simnet.network import use_solver
+from tests.simnet.oracle import use_scalar_oracle
 
 
 def _fig6_export(size_gb=1.0, seed=2011):
@@ -49,6 +51,11 @@ class TestFig6Golden:
     def test_same_seed_rerun_is_identical(self):
         assert _fig6_export() == _fig6_export()
 
+    def test_flow_engine_matches_scalar_oracle(self, monkeypatch):
+        fast = _fig6_export()
+        use_scalar_oracle(monkeypatch)
+        assert _fig6_export() == fast
+
     def test_seeds_actually_differ(self):
         # Guards the golden checks against a trivially-constant export.
         assert _fig6_export(seed=2011) != _fig6_export(seed=2012)
@@ -63,6 +70,14 @@ class TestNetworkFaultsGolden:
 
     def test_same_seed_rerun_is_identical(self):
         assert _network_faults_export() == _network_faults_export()
+
+    def test_flow_engine_matches_scalar_oracle(self, monkeypatch):
+        # Unlike Figure 6's lockstep flows, lossy-network flows are
+        # re-rated and killed mid-flight, so this run exercises the
+        # engines' remaining-bytes bookkeeping, not just their solves.
+        fast = _network_faults_export()
+        use_scalar_oracle(monkeypatch)
+        assert _network_faults_export() == fast
 
 
 @pytest.mark.slow

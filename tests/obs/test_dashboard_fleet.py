@@ -89,9 +89,9 @@ class TestFleetPage:
 class TestSweepBenchDiscovery:
     def _payload(self, identical=True, deterministic=True):
         leg = {
-            "vectorized_s": 1.0, "reference_s": 4.0, "speedup": 4.0,
+            "fast_s": 1.0, "reference_s": 4.0, "speedup": 4.0,
             "identical": identical, "deterministic": deterministic,
-            "events_vectorized": 10, "events_reference": 10,
+            "events_fast": 10, "events_reference": 10,
             "sim_elapsed_s": 5.0,
         }
         return {

@@ -1,16 +1,11 @@
-"""Tests for the kernel fast paths: lazy cancellation and the timer wheel.
-
-Covers the two engine-level optimisations behind ``python -m repro
-bench``:
+"""Tests for the kernel's lazy cancellation and bounded runs.
 
 * **tombstone cancellation** — ``Event.cancel()`` must keep drain
   semantics (a popped tombstone still advances the clock) while
   dispatching nothing, and yielding on a cancelled event must be a hard
   error, not a silent hang;
-* **timer wheel** — ``Simulator(timer_slot=...)`` must fire every event
-  at exactly the same time and in exactly the same order as the pure
-  heap, including the earlier-slot hazard (a short timer scheduled while
-  a far-future bucket is already loaded as the wheel head).
+* **bounded runs** — ``run(until=...)`` stops before later events and
+  ``peek()`` reports the next pending instant.
 
 Plus the regression for the stale-completion-timer bug: a flow killed
 and replaced in the same timestep must not be finished early (or
@@ -22,10 +17,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.simnet.kernel import SimError, Simulator, _TimerWheel
+from repro.simnet.kernel import SimError, Simulator
 from repro.simnet.network import FlowFailed, Network
 
 # ---------------------------------------------------------------------------
@@ -99,110 +92,23 @@ def test_cancel_storm_keeps_survivors_ordering():
 
 
 # ---------------------------------------------------------------------------
-# timer wheel == heap, exactly
+# bounded runs
 # ---------------------------------------------------------------------------
 
 
-def _storm_log(timer_slot, seed, n=150):
-    """Seeded timer storm with follow-up scheduling and cancels."""
-    sim = Simulator(timer_slot=timer_slot)
-    rng = random.Random(seed)
-    log = []
-
-    def fire(ev):
-        log.append((sim.now, ev.value))
-        if ev.value < n:  # follow-ups, some very short (earlier-slot hazard)
-            t = sim.timeout(
-                rng.choice([0.001, 0.4, 3.0, 45.0]), value=ev.value + n
-            )
-            t.callbacks.append(fire)
-
-    timers = []
-    for i in range(n):
-        t = sim.timeout(rng.uniform(0.0, 60.0), value=i)
-        t.callbacks.append(fire)
-        timers.append(t)
-    for i, t in enumerate(timers):
-        if i % 7 == 3:
-            t.cancel()
-    end = sim.run()
-    return log, end
-
-
-@pytest.mark.parametrize("width", [0.05, 1.0, 7.5, 100.0])
-def test_wheel_matches_heap_storm(width):
-    heap_log, heap_end = _storm_log(None, seed=2011)
-    wheel_log, wheel_end = _storm_log(width, seed=2011)
-    assert wheel_log == heap_log  # same floats, same order
-    assert wheel_end == heap_end
-
-
-@given(
-    delays=st.lists(
-        st.floats(0.0, 100.0, allow_nan=False), min_size=1, max_size=60
-    ),
-    width=st.floats(0.05, 25.0, allow_nan=False),
-)
-@settings(max_examples=80)
-def test_wheel_matches_heap_static(delays, width):
-    logs = []
-    for slot in (None, width):
-        sim = Simulator(timer_slot=slot)
-        log = []
-        for i, d in enumerate(delays):
-            sim.timeout(d, value=i).callbacks.append(
-                lambda ev: log.append((sim.now, ev.value))
-            )
-        sim.run()
-        logs.append(log)
-    assert logs[0] == logs[1]
-
-
-def test_wheel_earlier_slot_demotes_head():
-    # Load a far-future bucket as the wheel head (via peek on the first
-    # pop), then schedule an earlier timer from a heap event's callback:
-    # the wheel must demote the loaded head and fire in global order.
-    sim = Simulator(timer_slot=10.0)
-    log = []
-
-    def fire(ev):
-        log.append((sim.now, ev.value))
-
-    for when, val in ((55.0, "a"), (58.0, "b")):
-        sim.timeout(when, value=val).callbacks.append(fire)
-    kick = sim.event()  # zero-delay: lands in the heap, not the wheel
-
-    def on_kick(ev):
-        t = sim.timeout(12.0, value="early")  # slot 1 < loaded head slot 5
-        t.callbacks.append(fire)
-
-    kick.callbacks.append(on_kick)
-    kick.succeed()
-    sim.run()
-    assert log == [(12.0, "early"), (55.0, "a"), (58.0, "b")]
-
-
-def test_wheel_run_until_and_peek():
-    for slot in (None, 4.0):
-        sim = Simulator(timer_slot=slot)
-        fired = []
-        for d in (1.0, 9.0, 21.0):
-            sim.timeout(d, value=d).callbacks.append(
-                lambda ev: fired.append(ev.value)
-            )
-        assert sim.peek() == 1.0
-        assert sim.run(until=10.0) == 10.0
-        assert fired == [1.0, 9.0]
-        assert sim.peek() == 21.0
-        assert sim.run() == 21.0
-        assert fired == [1.0, 9.0, 21.0]
-
-
-def test_wheel_validation():
-    with pytest.raises(ValueError):
-        _TimerWheel(0.0)
-    with pytest.raises(ValueError):
-        Simulator(timer_slot=-1.0)
+def test_run_until_and_peek():
+    sim = Simulator()
+    fired = []
+    for d in (1.0, 9.0, 21.0):
+        sim.timeout(d, value=d).callbacks.append(
+            lambda ev: fired.append(ev.value)
+        )
+    assert sim.peek() == 1.0
+    assert sim.run(until=10.0) == 10.0
+    assert fired == [1.0, 9.0]
+    assert sim.peek() == 21.0
+    assert sim.run() == 21.0
+    assert fired == [1.0, 9.0, 21.0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Differential + property tests pinning the fast solver AND the
-vectorized flow engine.
+flow engine.
 
 Two independent fast paths must reproduce the reference **bit-for-bit**
 — same divisions, same epsilon-tie choices, same floats — under
@@ -8,11 +8,12 @@ flaps, capacity changes and partitions:
 
 * the fast max-min solver (`Network._maxmin_rates_fast`) against the
   from-scratch reference solver, checked synchronously at every op;
-* the vectorized horizon-batching engine (dense slot arrays, deferred
-  same-instant solve flush, pooled completion ticks) against the
-  scalar reference engine, checked by replaying identical op sequences
-  under both and comparing every checkpoint's rates and the final
-  delivered-byte counters exactly.
+* the horizon-batching engine (dense slot lists, deferred same-instant
+  solve flush, pooled completion ticks) against the scalar oracle
+  (:class:`tests.simnet.oracle.ScalarNetwork`), checked by replaying
+  identical op sequences under both and comparing every checkpoint's
+  rates, every flow's finish instant and the final delivered-byte
+  counters exactly.
 
 Max-min structural invariants (capacity respected, caps respected,
 every uncapped-below-cap flow has a saturated bottleneck where it gets
@@ -30,33 +31,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet import network as network_mod
-from repro.simnet.engine import HAVE_NUMPY, use_engine, validate_engine
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import DEFAULT_SOLVER, Network, use_solver
+from tests.simnet.oracle import ScalarNetwork
 
 NODES = 5
 REL_TOL = 1e-6
 
-#: Engine sweep: the scalar oracle always runs; the vectorized engine
-#: runs twice — once with the small-n scalar-loop slot path (the
-#: default below ``_BULK_N`` flows) and once with ``_BULK_N`` pinned to
-#: 1 so every slot op takes the whole-array numpy branch.
-ENGINE_CASES = [
-    pytest.param("reference", None, id="ref-engine"),
-    pytest.param("vectorized", None, id="vec-engine"),
-    pytest.param(
-        "vectorized",
-        1,
-        id="vec-engine-bulk",
-        marks=pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy"),
-    ),
+#: Engine sweep: the scalar oracle and the production slot engine.
+ENGINES = [
+    pytest.param(ScalarNetwork, id="ref-engine"),
+    pytest.param(Network, id="vec-engine"),
 ]
 
 
-def _build(engine: str = "vectorized"):
+def _build(network_cls=Network):
     sim = Simulator()
-    net = Network(sim, solver="fast", engine=engine)
+    net = network_cls(sim, solver="fast")
     ups, dns = [], []
     for n in range(NODES):
         # Deliberately non-uniform capacities: uniform ones hide
@@ -107,34 +98,25 @@ def _check_maxmin_invariants(net: Network) -> None:
         )
 
 
-def _apply_ops(ops, engine: str = "vectorized", bulk_n=None):
-    """Drive one op sequence under ``engine``.
+def _apply_ops(ops, network_cls=Network):
+    """Drive one op sequence on a ``network_cls`` network.
 
     Returns ``(checkpoints, rate_log, bytes_delivered)`` where
     ``rate_log`` records ``(sim.now, {flow_seq: rate})`` at every
-    checkpoint — the exact-comparison payload for cross-engine sweeps.
-    ``bulk_n`` temporarily pins ``network._BULK_N`` (1 forces the numpy
-    whole-array branch even at test-sized flow counts).
+    checkpoint, then ``(flow_seq, sim.now, ok)`` for every flow in the
+    order flows finished or died — the exact-comparison payload for
+    cross-engine sweeps.
     """
-    saved_bulk = network_mod._BULK_N
-    if bulk_n is not None:
-        network_mod._BULK_N = bulk_n
-    try:
-        return _apply_ops_inner(ops, engine)
-    finally:
-        network_mod._BULK_N = saved_bulk
-
-
-def _apply_ops_inner(ops, engine: str):
-    sim, net, ups, dns = _build(engine)
+    sim, net, ups, dns = _build(network_cls)
     flows: list = []
     checks = 0
     rate_log: list = []
+    finished: list = []
 
     def check():
         nonlocal checks
-        # The vectorized engine batches same-instant membership churn
-        # into one deferred solve; force it now so standing rates are
+        # The slot engine batches same-instant membership churn into one
+        # deferred solve; force it now so standing rates are
         # inspectable synchronously (a timeline no-op — see the hook).
         net._settle_pending()
         rate_log.append((sim.now, {f.seq: f.rate for f in net._flows}))
@@ -155,6 +137,9 @@ def _apply_ops_inner(ops, engine: str):
                     rate_cap=float("inf") if cap is None else cap,
                 )
                 f.done.defuse()  # kills are intentional here
+                f.done.callbacks.append(
+                    lambda ev, f=f: finished.append((f.seq, sim.now, ev.ok))
+                )
                 flows.append(f)
             elif kind == "kill":
                 if flows:
@@ -186,7 +171,7 @@ def _apply_ops_inner(ops, engine: str):
     sim.process(driver(), name="diff-driver")
     sim.run()
     check()
-    return checks, rate_log, net.bytes_delivered
+    return checks, rate_log + finished, net.bytes_delivered
 
 
 _node = st.integers(0, NODES - 1)
@@ -213,24 +198,19 @@ _op = st.one_of(
 def test_differential_random_ops(ops):
     """Hypothesis churn, swept across engines AND solvers.
 
-    The scalar run is the oracle: every vectorized run — fast or
-    reference solver, scalar-loop or forced-numpy slot path — must
-    reproduce its checkpoint rates and delivered bytes *exactly* (no
-    tolerance: same IEEE operations, same results).
+    The scalar oracle run is the reference: the slot engine under
+    either solver must reproduce its checkpoint rates, finish instants
+    and delivered bytes *exactly* (no tolerance: same IEEE operations,
+    same results).
     """
-    _, ref_log, ref_bytes = _apply_ops(ops, engine="reference")
-    sweeps = [("vectorized", None)]
-    if HAVE_NUMPY:
-        sweeps.append(("vectorized", 1))
-    for engine, bulk_n in sweeps:
-        for solver in ("fast", "reference"):
-            with use_solver(solver):
-                _, log, nbytes = _apply_ops(ops, engine=engine, bulk_n=bulk_n)
-            assert log == ref_log, (
-                f"engine={engine} solver={solver} bulk_n={bulk_n} "
-                "diverged from the reference engine"
-            )
-            assert nbytes == ref_bytes
+    _, ref_log, ref_bytes = _apply_ops(ops, ScalarNetwork)
+    for solver in ("fast", "reference"):
+        with use_solver(solver):
+            _, log, nbytes = _apply_ops(ops)
+        assert log == ref_log, (
+            f"solver={solver} diverged from the scalar oracle"
+        )
+        assert nbytes == ref_bytes
 
 
 def _seeded_ops(seed: int, count: int):
@@ -265,31 +245,29 @@ def _seeded_ops(seed: int, count: int):
     return ops
 
 
-@pytest.mark.parametrize("engine,bulk_n", ENGINE_CASES)
+@pytest.mark.parametrize("network_cls", ENGINES)
 @pytest.mark.parametrize("seed", [2011, 2012, 2013])
-def test_differential_seeded_churn(seed, engine, bulk_n):
-    checks, _, _ = _apply_ops(_seeded_ops(seed, 60), engine=engine, bulk_n=bulk_n)
+def test_differential_seeded_churn(seed, network_cls):
+    checks, _, _ = _apply_ops(_seeded_ops(seed, 60), network_cls)
     assert checks >= 60
 
 
 @pytest.mark.parametrize("seed", [2011, 2013])
 def test_cross_engine_rates_and_bytes_exact(seed):
-    """Seeded churn: vectorized checkpoints == scalar checkpoints, exactly."""
+    """Seeded churn: slot-engine checkpoints == scalar checkpoints, exactly."""
     ops = _seeded_ops(seed, 80)
-    _, ref_log, ref_bytes = _apply_ops(ops, engine="reference")
-    _, vec_log, vec_bytes = _apply_ops(ops, engine="vectorized")
+    _, ref_log, ref_bytes = _apply_ops(ops, ScalarNetwork)
+    _, vec_log, vec_bytes = _apply_ops(ops)
     assert vec_log == ref_log
     assert vec_bytes == ref_bytes
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("engine,bulk_n", ENGINE_CASES)
+@pytest.mark.parametrize("network_cls", ENGINES)
 @pytest.mark.parametrize("seed", [7, 40, 1337])
-def test_differential_seeded_churn_long(seed, engine, bulk_n):
+def test_differential_seeded_churn_long(seed, network_cls):
     """Long churn crosses the BFS population threshold both ways."""
-    checks, _, _ = _apply_ops(
-        _seeded_ops(seed, 400), engine=engine, bulk_n=bulk_n
-    )
+    checks, _, _ = _apply_ops(_seeded_ops(seed, 400), network_cls)
     assert checks >= 400
 
 
@@ -304,18 +282,6 @@ def test_solver_flag_validation():
     assert DEFAULT_SOLVER in ("fast", "reference")
 
 
-def test_engine_flag_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Network(sim, engine="bogus")
-    with pytest.raises(ValueError):
-        validate_engine("bogus")
-    with pytest.raises(ValueError):
-        with use_engine("bogus"):
-            pass
-    assert Network(sim, engine="reference").engine == "reference"
-
-
 def test_use_solver_restores_default():
     sim = Simulator()
     before = Network(sim).solver
@@ -324,19 +290,10 @@ def test_use_solver_restores_default():
     assert Network(sim).solver == before
 
 
-def test_use_engine_restores_default():
-    sim = Simulator()
-    before = Network(sim).engine
-    with use_engine("reference"):
-        assert Network(sim).engine == "reference"
-    assert Network(sim).engine == before
-
-
 def test_skip_counter_counts_clean_solves():
-    # Pinned to the reference engine: its solves are synchronous, so
-    # the counters are inspectable right after the call.
-    sim, net, ups, dns = _build(engine="reference")
+    sim, net, ups, dns = _build()
     f = net.transfer_flow((ups[0], dns[1]), 1e6)
+    net._settle_pending()
     assert net.rate_recomputes == 1
     net._dirty.clear()
     net._maxmin_rates_fast()
@@ -345,8 +302,8 @@ def test_skip_counter_counts_clean_solves():
 
 
 def test_vectorized_defers_solve_to_one_per_instant():
-    """Same-instant churn under the vectorized engine costs ONE solve."""
-    sim, net, ups, dns = _build(engine="vectorized")
+    """Same-instant churn under the slot engine costs ONE solve."""
+    sim, net, ups, dns = _build()
     for i in range(6):
         net.transfer_flow((ups[i % NODES], dns[(i + 1) % NODES]), 1e6)
     # All six arrivals landed at t=0; the solve is still queued.

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.simnet.kernel import Simulator
 from repro.simnet.network import Network
+from tests.simnet.oracle import ScalarNetwork
 
 
 def _net_two_links(sim, cap=100.0):
@@ -195,7 +196,7 @@ class TestSharing:
 class TestArenaIsolation:
     """Slot/arena reuse must never leak state across Network instances.
 
-    The vectorized engine keeps per-network dense slot lists (swap-remove
+    The flow engine keeps per-network dense slot lists (swap-remove
     recycling) and draws completion timers from the simulator's pooled
     tick arena.  A fresh Network — on a fresh simulator OR sharing a
     simulator whose tick pool and shared-tick state are already warm
@@ -218,23 +219,27 @@ class TestArenaIsolation:
         sim.run()
         return done, net.bytes_delivered
 
-    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
-    def test_fresh_network_after_run_is_pristine(self, engine):
+    @pytest.mark.parametrize(
+        "network_cls",
+        [
+            pytest.param(Network, id="vectorized"),
+            pytest.param(ScalarNetwork, id="reference"),
+        ],
+    )
+    def test_fresh_network_after_run_is_pristine(self, network_cls):
         sim = Simulator()
-        first = Network(sim, engine=engine)
+        first = network_cls(sim)
         base_done, base_bytes = self._run_round(sim, first)
         assert len(base_done) == len(self.SIZES)
-        if engine == "vectorized":
-            # The slot lists drain back to empty with every slot freed.
-            assert first._vflows == []
-            assert first._vrem == []
-            assert first._vrate == []
+        # The slot lists drain back to empty with every slot freed.
+        assert first._slot_flows == []
+        assert first._slot_rem == []
+        assert first._slot_rate == []
         # A second network on the SAME simulator starts with a warm
         # tick arena and a non-zero clock; it must reproduce the first
         # network's timeline relative to its own start, from blank state.
-        second = Network(sim, engine=engine)
-        if engine == "vectorized":
-            assert second._vflows == [] and second._vrem == []
+        second = network_cls(sim)
+        assert second._slot_flows == [] and second._slot_rem == []
         done2, bytes2 = self._run_round(sim, second)
         assert [s for _, s in done2] == [s for _, s in base_done]
         for (dt2, _), (dt1, _) in zip(done2, base_done):
@@ -244,7 +249,7 @@ class TestArenaIsolation:
 
     def test_finished_flows_release_their_slots(self):
         sim = Simulator()
-        net = Network(sim, engine="vectorized")
+        net = Network(sim)
         link = net.add_link("slots-l", 100.0)
         flows = [net.transfer_flow((link,), 40.0) for _ in range(3)]
         assert [f.slot for f in flows] == [0, 1, 2]

@@ -48,6 +48,26 @@ class TestCategorize:
         assert categorize("NetworkModel.solve") == "flow"
         assert categorize("FairScheduler.dispatch") == "scheduler"
         assert categorize("JobMonitor.poll") == "scheduler"
+        # Flow-layer classes win over scheduler substrings ("reschedule").
+        for label in (
+            "RateDevice._reschedule_now.<locals>.<lambda>",
+            "RateDevice._flush",
+            "Network._flush",
+            "Network.transfer_flow.<locals>.<lambda>",
+            "Network._reallocate_now.<locals>.<lambda>",
+            "Network._start_flow.<locals>.finish_local",
+        ):
+            assert categorize(label) == "flow", label
+        # The multi-tenant engine's process names.
+        for label in (
+            "dispatcher",
+            "arrivals",
+            "preempt-sweep",
+            "job:batch-3-javaSort",
+            "job:wordcount-1.0g",
+            "monitor:interactive-2-webdataScan",
+        ):
+            assert categorize(label) == "scheduler", label
 
     def test_unknown_labels_fall_through_to_kernel(self):
         assert categorize("frobnicate") == "kernel"
@@ -74,9 +94,9 @@ class TestSelfProfiler:
 
     def test_record_overhead_adds_seconds_without_events(self):
         prof = SelfProfiler()
-        prof.record_overhead("timer-wheel", 0.125)
+        prof.record_overhead("kernel", 0.125)
         snap = prof.snapshot()
-        assert snap["bins"]["timer-wheel"] == {
+        assert snap["bins"]["kernel"] == {
             "events": 0,
             "wall_seconds": 0.125,
         }
