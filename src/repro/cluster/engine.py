@@ -3,10 +3,11 @@
 :class:`MultiTenantEngine` drives an open-loop arrival stream (or
 hand-submitted jobs) through the :class:`~repro.cluster.scheduler.
 ClusterScheduler` onto a single shared simnet cluster.  Hadoop jobs run
-elastically — their TaskTrackers poll the scheduler for slot grants every
-heartbeat — while MPI-D jobs gang-reserve every rank's slot atomically
-(optionally preempting Hadoop work to make room).  Fault plans apply
-cluster-wide: one injector, with crash/restart fan-out to every live job.
+elastically — their JobTrackers poll the scheduler for slot grants on
+every heartbeat that has a task to place — while MPI-D jobs gang-reserve
+every rank's slot atomically (optionally preempting Hadoop work to make
+room).  Fault plans apply cluster-wide: one injector, with crash/restart
+fan-out to every live job.
 
 Overload is a first-class regime, not an error:
 

@@ -2,8 +2,9 @@
 
 One :class:`ClusterScheduler` arbitrates the task slots of a shared
 simnet cluster between many concurrent jobs.  Each job sees the cluster
-through a :class:`JobSlots` facade that its TaskTrackers consult on
-every heartbeat (``map_budget`` / ``reduce_budget``) and report usage to
+through a :class:`JobSlots` facade.  Its JobTracker asks the facade for
+a grant (``map_budget`` / ``reduce_budget``) on a heartbeat that has a
+task of that kind to place, and its TaskTrackers report usage to it
 (``task_started`` / ``task_finished``).  The scheduler itself runs no
 processes — it is pure bookkeeping driven by the engine's kernel events,
 so a run stays deterministic.
@@ -22,9 +23,10 @@ Three policies, per Hadoop's contrib schedulers circa 0.20:
 Entitlements are fractional; grants round *up* (``ceil``) so any job
 with a positive entitlement can always run at least one task — that, plus
 slots only ever being waited on via the heartbeat poll (never a blocking
-acquire), is why overload cannot deadlock: every queued task eventually
-sees a slot, and admission control (per-queue ``max_queued``) bounds the
-backlog itself.
+acquire), is why overload cannot deadlock: a job with a task to place
+asks again on every beat, so every queued task eventually sees a slot,
+and admission control (per-queue ``max_queued``) bounds the backlog
+itself.
 
 MPI-D gangs reserve all their slots atomically (:meth:`try_reserve`):
 a gang either gets every rank's slot or nothing, because a partially
@@ -122,9 +124,10 @@ class _JobEntry:
 class JobSlots:
     """One job's view of the cluster scheduler.
 
-    TaskTrackers call :meth:`map_budget`/:meth:`reduce_budget` when
-    composing a heartbeat and :meth:`task_started`/:meth:`task_finished`
-    as attempts come and go.  The facade pins the job identity so the
+    The JobTracker calls :meth:`map_budget`/:meth:`reduce_budget` while
+    answering a heartbeat, only for a kind it has a task to place;
+    TaskTrackers call :meth:`task_started`/:meth:`task_finished` as
+    attempts come and go.  The facade pins the job identity so the
     job-side code never handles scheduler ids.
     """
 
@@ -171,6 +174,10 @@ class ClusterScheduler:
         }
         self.clock = clock
         self._jobs: dict[int, _JobEntry] = {}
+        #: ``(queue, kind) -> entitlement`` memo; it depends only on the
+        #: config and each queue's job count, so registration changes
+        #: are the only invalidations.
+        self._entitlements: dict[tuple[str, str], float] = {}
         #: Cross-job per-node ledger: ``(node, kind) -> running tasks``.
         self._node_used: dict[tuple[int, str], int] = {}
         # -- per-queue accounting ------------------------------------------
@@ -189,6 +196,7 @@ class ClusterScheduler:
         if job_id in self._jobs:
             raise ValueError(f"job {job_id} already registered")
         self._jobs[job_id] = _JobEntry(job_id=job_id, queue=queue)
+        self._entitlements.clear()
         return JobSlots(self, job_id)
 
     def job_finished(self, job_id: int) -> None:
@@ -201,6 +209,7 @@ class ClusterScheduler:
         entry = self._jobs.pop(job_id, None)
         if entry is None:
             return
+        self._entitlements.clear()
         self._integrate(entry.queue)
         for (node, kind), n in entry.node_usage.items():
             if n:
@@ -213,32 +222,39 @@ class ClusterScheduler:
             entry.gang = None  # already swept via node_usage above
 
     # -- entitlements ---------------------------------------------------------
-    def _active_weight(self) -> float:
-        """Sum of weights over queues that currently have jobs."""
+    def _active_queues(self) -> list[QueueConfig]:
+        """Queues that currently have jobs, in declaration order — float
+        sums over them must not follow a set's hash order."""
         active = {e.queue for e in self._jobs.values()}
-        return sum(self.queues[q].weight for q in active) or 1.0
+        return [q for name, q in self.queues.items() if name in active]
 
     def _queue_jobs(self, queue: str) -> int:
         return sum(1 for e in self._jobs.values() if e.queue == queue)
 
     def entitlement(self, job_id: int, kind: str) -> float:
         """This job's fair number of ``kind`` slots (fractional)."""
-        entry = self._jobs[job_id]
+        key = (self._jobs[job_id].queue, kind)
+        value = self._entitlements.get(key)
+        if value is None:
+            value = self._entitlements[key] = self._entitlement(*key)
+        return value
+
+    def _entitlement(self, queue: str, kind: str) -> float:
         total = self.totals[kind]
         policy = self.config.policy
         if policy == "fifo":
             return float(total)
-        njobs = self._queue_jobs(entry.queue)
+        q = self.queues[queue]
+        active = self._active_queues()
+        njobs = self._queue_jobs(queue)
         if policy == "fair":
-            share = self.queues[entry.queue].weight / self._active_weight()
+            share = q.weight / sum(a.weight for a in active)
             return total * share / njobs
         # capacity: guaranteed fraction plus a weighted cut of the spare
         # left by queues that are idle or under their guarantee.
-        q = self.queues[entry.queue]
-        active = {e.queue for e in self._jobs.values()}
-        guaranteed = sum(self.queues[a].capacity for a in active)
+        guaranteed = sum(a.capacity for a in active)
         spare = max(0.0, 1.0 - guaranteed)
-        wsum = sum(self.queues[a].weight for a in active)
+        wsum = sum(a.weight for a in active)
         bonus = spare * (q.weight / wsum) if wsum else 0.0
         frac = min(q.capacity + bonus, q.max_capacity)
         return total * frac / njobs

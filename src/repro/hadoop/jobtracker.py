@@ -5,6 +5,8 @@ drive it by calling :meth:`JobTracker.heartbeat` every interval, exactly
 like Hadoop 0.20.2's ``heartbeat()`` RPC: the tracker reports completed
 tasks and receives new assignments (at most ``maps_per_heartbeat`` map
 tasks, node-local preferred, plus reduce tasks once slowstart is met).
+On a shared cluster the JobTracker also asks the cluster scheduler's
+slot facade for a grant, but only for a kind it has a task to place.
 
 Map completions become *visible* to reducers only when reported on a
 heartbeat — the announcement delay that real reducers experience between
@@ -117,12 +119,16 @@ class JobTracker:
         config: HadoopConfig,
         hdfs_file: HdfsFile,
         num_workers: int,
+        sched: Optional[object] = None,
     ):
         if num_workers < 1:
             raise ValueError(f"need at least one worker, got {num_workers}")
         self.spec = spec
         self.config = config
         self.num_workers = num_workers
+        #: Cluster-scheduler slot facade (a ``JobSlots``) on a shared
+        #: cluster, None on a standalone run.
+        self.sched = sched
         self.maps = [
             MapTaskInfo(task_id=i, block=b) for i, b in enumerate(hdfs_file.blocks)
         ]
@@ -250,7 +256,14 @@ class JobTracker:
         completed_map_ids: list[int],
         now: float,
     ) -> tuple[list[MapAttempt], list[ReduceAttempt]]:
-        """One tracker's heartbeat: report completions, receive work."""
+        """One tracker's heartbeat: report completions, receive work.
+
+        ``free_*_slots`` are the tracker's physical free slots.  On a
+        shared cluster the scheduler facade may grant fewer; it is asked
+        only after this beat's completions are announced (they can cross
+        slowstart) and only for a kind with a task to place, which is
+        what keeps an idle beat cheap.
+        """
         if node in self.blacklisted:
             return [], []
         self.last_heartbeat[node] = now
@@ -260,9 +273,17 @@ class JobTracker:
                 task.announced = True
                 self.maps_announced += 1
                 self._announced_order.append(task)
+        speculative = self.config.speculative_execution
+        sched = self.sched
 
         assigned_maps: list[MapAttempt] = []
-        budget = min(self.config.maps_per_heartbeat, max(0, free_map_slots))
+        # Every PENDING map is in _pending_maps: when it is empty only a
+        # speculative attempt could be placed.
+        budget = 0
+        if self._pending_maps or speculative:
+            budget = min(self.config.maps_per_heartbeat, max(0, free_map_slots))
+            if sched is not None and budget > 0:
+                budget = min(budget, sched.map_budget(node, free_map_slots))
         while budget > 0:
             task = self._pop_map_for(node)
             if task is None:
@@ -279,21 +300,23 @@ class JobTracker:
             assigned_maps.append(attempt)
             budget -= 1
 
-        if (
-            self.config.speculative_execution
-            and budget > 0
-            and not self._pending_maps
-        ):
+        if speculative and budget > 0 and not self._pending_maps:
             attempt = self._speculate(node, now)
             if attempt is not None:
                 self._running_attempts.setdefault(node, []).append(attempt)
                 assigned_maps.append(attempt)
 
         assigned_reduces: list[ReduceAttempt] = []
-        if self.reduces_may_start():
+        if self.reduces_may_start() and (
+            self._requeued_reduces
+            or self._next_reduce < self.num_reduces
+            or speculative
+        ):
             budget = min(
                 self.config.reduces_per_heartbeat, max(0, free_reduce_slots)
             )
+            if sched is not None and budget > 0:
+                budget = min(budget, sched.reduce_budget(node, free_reduce_slots))
             while budget > 0:
                 if self._requeued_reduces:
                     task = self._requeued_reduces.pop(0)
@@ -316,7 +339,7 @@ class JobTracker:
                 budget -= 1
 
             if (
-                self.config.speculative_execution
+                speculative
                 and budget > 0
                 and not self._requeued_reduces
                 and self._next_reduce >= self.num_reduces

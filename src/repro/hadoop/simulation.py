@@ -81,7 +81,8 @@ class HadoopSimulation:
     sim: Optional[Simulator] = None
     cluster: Optional[Cluster] = None
     #: Cluster-scheduler slot facade (a ``JobSlots``), set by the engine:
-    #: TaskTrackers consult it for slot grants and report usage to it.
+    #: the JobTracker asks it for slot grants and TaskTrackers report
+    #: usage to it.
     sched: Optional[object] = None
 
     def __post_init__(self) -> None:
@@ -120,11 +121,17 @@ class HadoopSimulation:
             seed=self.seed,
         )
         self.rpc = HadoopRpcTransport()
+        #: One way of the heartbeat's status RPC; every beat pays it twice.
+        self.status_rpc_latency = self.rpc.latency(self.config.rpc_status_bytes)
         self.jetty = JettyHttpTransport()
         self.nio = NioSocketTransport()
         self._file = self.hdfs.create_file(self.spec.input_file, self.spec.input_bytes)
         self.jobtracker = JobTracker(
-            self.spec, self.config, self._file, num_workers=self.num_workers
+            self.spec,
+            self.config,
+            self._file,
+            num_workers=self.num_workers,
+            sched=self.sched,
         )
         self.metrics = JobMetrics(job_name=self.spec.name)
         # -- fault-injection state (inert without a plan) --------------------

@@ -2,10 +2,13 @@
 
 Each worker node runs one TaskTracker process: every
 ``heartbeat_interval`` seconds it pays the Hadoop-RPC cost of a status
-call to the JobTracker (on the master node), reports task completions,
-and receives assignments — at most one map and one reduce per beat, the
-0.20.2 behaviour whose slot-fill ramp is visibly part of Hadoop's
-overhead at small input sizes.
+call to the JobTracker (on the master node), reports task completions
+and its free slots, and receives assignments — at most one map and one
+reduce per beat, the 0.20.2 behaviour whose slot-fill ramp is visibly
+part of Hadoop's overhead at small input sizes.  On a shared cluster the
+JobTracker, not the tracker, asks the cluster scheduler for a grant, and
+only when it has a task of that kind to place; the tracker reports its
+slot usage to the scheduler as attempts start and end.
 """
 
 from __future__ import annotations
@@ -31,24 +34,6 @@ class TaskTracker:
         self.running_reduces = 0
         self._completed_unreported: list[int] = []
         self.heartbeats_sent = 0
-
-    @property
-    def free_map_slots(self) -> int:
-        free = self.config.map_slots - self.running_maps
-        sched = self.env.sched
-        if sched is not None:
-            # Shared cluster: the grant also respects other tenants' usage
-            # of this node and this job's fair/capacity share.
-            free = sched.map_budget(self.node_id, free)
-        return free
-
-    @property
-    def free_reduce_slots(self) -> int:
-        free = self.config.reduce_slots - self.running_reduces
-        sched = self.env.sched
-        if sched is not None:
-            free = sched.reduce_budget(self.node_id, free)
-        return free
 
     # -- callbacks from task processes ----------------------------------------
     def map_completed(self, attempt: MapAttempt) -> None:
@@ -96,21 +81,17 @@ class TaskTracker:
             yield sim.tick(stagger, shared=True)
             while not (jt.job_done or jt.job_failed):
                 # The status RPC: request to the master and response back.
-                yield sim.tick(
-                    env.rpc.latency(self.config.rpc_status_bytes), shared=True
-                )
+                yield sim.tick(env.status_rpc_latency, shared=True)
                 completions = self._completed_unreported
                 self._completed_unreported = []
                 maps, reduces = jt.heartbeat(
                     node=self.node_id,
-                    free_map_slots=self.free_map_slots,
-                    free_reduce_slots=self.free_reduce_slots,
+                    free_map_slots=self.config.map_slots - self.running_maps,
+                    free_reduce_slots=self.config.reduce_slots - self.running_reduces,
                     completed_map_ids=completions,
                     now=sim.now,
                 )
-                yield sim.tick(
-                    env.rpc.latency(self.config.rpc_status_bytes), shared=True
-                )
+                yield sim.tick(env.status_rpc_latency, shared=True)
                 for attempt in maps:
                     self.running_maps += 1
                     proc = env.spawn_on_node(

@@ -1,7 +1,13 @@
 """ClusterScheduler unit tests: entitlements, budgets, gangs, preemption."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import repro
 from repro.cluster import ClusterScheduler, QueueConfig, SchedulerConfig
 
 
@@ -66,6 +72,73 @@ class TestEntitlements:
         sched.register_job(2, "a")
         assert sched.entitlement(1, "map") == 16.0
         assert sched.budget(1, 1, "map", free=4) == 4
+
+
+class TestEntitlementCache:
+    QUEUES = [
+        QueueConfig(name="a", weight=3.0, capacity=0.5),
+        QueueConfig(name="b", weight=1.0, capacity=0.25),
+    ]
+
+    @pytest.mark.parametrize("policy", ["fair", "capacity", "fifo"])
+    def test_registration_changes_invalidate(self, policy):
+        """A cached entitlement read across register_job/job_finished
+        must equal a fresh scheduler's for the same registrations."""
+
+        def fresh(jobs):
+            sched = make_sched(policy=policy, queues=self.QUEUES)
+            for job_id, queue in jobs:
+                sched.register_job(job_id, queue)
+            return sched
+
+        def check(jobs):
+            ref = fresh(jobs)
+            for kind in ("map", "reduce"):
+                assert sched.entitlement(1, kind) == ref.entitlement(1, kind)
+            return sched.entitlement(1, "map")
+
+        sched = fresh([(1, "a")])
+        alone = check([(1, "a")])
+        sched.register_job(2, "b")
+        shared = check([(1, "a"), (2, "b")])
+        sched.job_finished(2)
+        assert check([(1, "a")]) == alone
+        # The registration really moves the fair and capacity shares.
+        assert (shared == alone) == (policy == "fifo")
+
+    def test_sums_follow_declaration_order_not_hash_order(self):
+        """Weight and capacity sums over the active queues must not
+        depend on PYTHONHASHSEED: 0.1 + 0.2 + 0.3 differs by one ulp
+        between summation orders, which floors to 19 or 20 slots."""
+        code = textwrap.dedent(
+            """
+            from repro.cluster import ClusterScheduler, QueueConfig, SchedulerConfig
+
+            for policy in ("fair", "capacity"):
+                queues = [
+                    QueueConfig(name=name, weight=w, capacity=w)
+                    for name, w in (("a", 0.1), ("b", 0.2), ("c", 0.3))
+                ]
+                sched = ClusterScheduler(
+                    SchedulerConfig(policy=policy), queues, list(range(1, 11)), 4, 2
+                )
+                for job_id, queue in enumerate("abc"):
+                    sched.register_job(job_id, queue)
+                print(repr(sched.entitlement(2, "map")))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        outs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True,
+                text=True,
+                check=True,
+            ).stdout
+            for seed in ("0", "2")
+        ]
+        assert outs[0] == outs[1]
 
 
 class TestBudget:

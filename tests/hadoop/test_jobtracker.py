@@ -9,7 +9,7 @@ from repro.hadoop.jobtracker import JobTracker
 from repro.util.units import MiB
 
 
-def make_jt(input_mb=640, reducers=None, config=None, nodes=4):
+def make_jt(input_mb=640, reducers=None, config=None, nodes=4, sched=None):
     config = config or HadoopConfig()
     hdfs = HdfsNamespace(
         list(range(1, nodes + 1)),
@@ -22,7 +22,7 @@ def make_jt(input_mb=640, reducers=None, config=None, nodes=4):
         "t", input_bytes=input_mb * MiB, profile=JAVASORT_PROFILE,
         num_reduce_tasks=reducers,
     )
-    return JobTracker(spec, config, f, num_workers=nodes)
+    return JobTracker(spec, config, f, num_workers=nodes, sched=sched)
 
 
 class TestAssignment:
@@ -100,6 +100,88 @@ class TestSlowstartAndReduces:
         done = self._complete_map(jt, 1, 0.0)
         jt.heartbeat(1, 0, 0, done, now=3.0)
         assert len(jt.visible_map_outputs(0)) == 1
+
+
+class CountingSlots:
+    """``JobSlots`` stand-in: grants up to ``cap`` slots but, like
+    ``ClusterScheduler.budget``, never more than the free slots it is
+    given; records every query."""
+
+    def __init__(self, cap=100):
+        self.cap = cap
+        self.calls = []
+
+    def map_budget(self, node_id, free):
+        self.calls.append(("map", node_id, free))
+        return max(0, min(free, self.cap))
+
+    def reduce_budget(self, node_id, free):
+        self.calls.append(("reduce", node_id, free))
+        return max(0, min(free, self.cap))
+
+
+class TestSharedClusterQuery:
+    """On a shared cluster the JobTracker asks the slot facade itself,
+    lazily: after announcing the beat's completions, and only for a kind
+    it has a task to place."""
+
+    def test_beat_crossing_slowstart_gets_its_reduce(self):
+        slots = CountingSlots()
+        jt = make_jt(input_mb=64 * 20, sched=slots)  # slowstart: 1 of 20 maps
+        maps, _ = jt.heartbeat(1, 8, 8, [], now=0.0)
+        jt.map_finished(maps[0], output_bytes=1000.0, now=1.0)
+        assert not jt.reduces_may_start()
+        # This beat's own report crosses slowstart: the reduce goes out on
+        # the same beat, not the next one.
+        _, reduces = jt.heartbeat(1, 8, 8, [maps[0].task_id], now=3.0)
+        assert len(reduces) == 1
+        assert ("reduce", 1, 8) in slots.calls
+
+    def test_idle_beat_makes_no_budget_calls(self):
+        slots = CountingSlots()
+        jt = make_jt(
+            input_mb=64,
+            reducers=1,
+            config=HadoopConfig(reduce_slowstart=0.0),
+            sched=slots,
+        )
+        maps, reduces = jt.heartbeat(1, 8, 8, [], now=0.0)
+        assert len(maps) == 1 and len(reduces) == 1
+        slots.calls.clear()
+        # No pending map and every reduce placed: nothing to ask for.
+        assert jt.heartbeat(2, 8, 8, [], now=3.0) == ([], [])
+        assert slots.calls == []
+
+    def test_speculation_still_asks(self):
+        slots = CountingSlots()
+        jt = make_jt(
+            input_mb=64,
+            reducers=1,
+            config=HadoopConfig(reduce_slowstart=0.0, speculative_execution=True),
+            sched=slots,
+        )
+        jt.heartbeat(1, 8, 8, [], now=0.0)
+        slots.calls.clear()
+        jt.heartbeat(2, 8, 8, [], now=3.0)
+        assert [c[0] for c in slots.calls] == ["map", "reduce"]
+
+    @pytest.mark.parametrize("cap", [0, 2, 5])
+    @pytest.mark.parametrize("free", [-1, 0, 2, 8])
+    def test_grant_below_free_matches_min_formula(self, cap, free):
+        """The budget is ``min(per_beat, max(0, grant))`` with ``grant``
+        the facade's answer to the tracker's free slots: the facade can
+        only lower what the tracker could take."""
+        config = HadoopConfig(
+            maps_per_heartbeat=4, reduces_per_heartbeat=4, reduce_slowstart=0.0
+        )
+        slots = CountingSlots(cap)
+        jt = make_jt(input_mb=64 * 20, reducers=8, config=config, sched=slots)
+        maps, reduces = jt.heartbeat(1, free, free, [], now=0.0)
+        grant = max(0, min(free, cap))
+        assert len(maps) == min(config.maps_per_heartbeat, grant)
+        assert len(reduces) == min(config.reduces_per_heartbeat, grant)
+        # The facade is handed the tracker's physical free slots.
+        assert all(c[2] == free for c in slots.calls)
 
 
 class TestCompletionBookkeeping:
