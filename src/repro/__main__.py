@@ -3,9 +3,6 @@
 ``python -m repro trace <experiment>`` runs one observed experiment and
 writes a Perfetto trace (see :mod:`repro.obs.cli`).
 
-``python -m repro bench`` runs the engine perf harness and writes
-``BENCH_engine.json`` (see :mod:`repro.bench.cli`).
-
 ``python -m repro replay <trace-or-experiment>`` folds a run into
 playback frames and writes a self-contained HTML dashboard (see
 :mod:`repro.obs.replay_cli`).
@@ -56,10 +53,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.replay_cli import main as replay_main
 
         return replay_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.bench.cli import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "tenants":
         from repro.experiments.multi_tenant import main as tenants_main
 
@@ -80,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
     print("capacity: python -m repro capacity [--quick] [--out results/] [--store-out stores/]")
     print("analysis: python -m repro analyze {trace.json,store.jsonl} [--tenants] [--validate] [--json report.json]")
     print("replay:  python -m repro replay {fig6,fig1,fault,sweep,fleet <dir>,<store.jsonl>,<trace.json>} [--out dashboard.html]")
-    print("engine bench: python -m repro bench [--quick] [--compare] [--out BENCH_engine.json]")
     print("examples: see examples/*.py; tests: pytest tests/;")
     print("benchmarks: pytest benchmarks/ --benchmark-only")
     return 0

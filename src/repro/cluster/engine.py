@@ -359,9 +359,9 @@ class MultiTenantEngine:
         idle_sweeps = 0
         try:
             while True:
-                # Pooled shared tick — same instant and dispatch order a
+                # Pooled tick — same instant and dispatch order a
                 # Timeout would get, but recycled through the tick arena.
-                yield sim.tick(interval, shared=True)
+                yield sim.tick(interval)
                 self._rebalance()
                 self._sched_tick()
                 # Stall safety valve: the cluster is empty, arrivals are

@@ -399,9 +399,9 @@ class HadoopSimulation:
         interval = self.config.tasktracker_expiry_interval
         try:
             while not (jt.job_done or jt.job_failed):
-                # Pooled shared tick: the sweep timer recycles through the
+                # Pooled tick: the sweep timer recycles through the
                 # kernel arena instead of allocating a Timeout per lap.
-                yield sim.tick(interval / 3.0, shared=True)
+                yield sim.tick(interval / 3.0)
                 for node in jt.find_expired(sim.now, interval):
                     jt.lost_tasktracker(node, sim.now)
                     if self.storage is not None:

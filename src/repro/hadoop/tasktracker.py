@@ -74,14 +74,11 @@ class TaskTracker:
             self.config.heartbeat_interval
         )
         try:
-            # Heartbeat sleeps come from the kernel's pooled tick arena and
-            # are marked shared: beats from different trackers landing on
-            # the same instant coalesce into one heap entry (append-order
-            # dispatch == seq order, so the timeline is unchanged).
-            yield sim.tick(stagger, shared=True)
+            # Heartbeat sleeps come from the kernel's pooled tick arena.
+            yield sim.tick(stagger)
             while not (jt.job_done or jt.job_failed):
                 # The status RPC: request to the master and response back.
-                yield sim.tick(env.status_rpc_latency, shared=True)
+                yield sim.tick(env.status_rpc_latency)
                 completions = self._completed_unreported
                 self._completed_unreported = []
                 maps, reduces = jt.heartbeat(
@@ -91,7 +88,7 @@ class TaskTracker:
                     completed_map_ids=completions,
                     now=sim.now,
                 )
-                yield sim.tick(env.status_rpc_latency, shared=True)
+                yield sim.tick(env.status_rpc_latency)
                 for attempt in maps:
                     self.running_maps += 1
                     proc = env.spawn_on_node(
@@ -123,6 +120,6 @@ class TaskTracker:
                             maps=len(maps),
                             reduces=len(reduces),
                         )
-                yield sim.tick(self.config.heartbeat_interval, shared=True)
+                yield sim.tick(self.config.heartbeat_interval)
         except Interrupt:
             return  # node crashed; the JobTracker learns via heartbeat expiry

@@ -23,9 +23,8 @@ from repro.simnet.kernel import (
     Interrupt,
     SimError,
 )
-from repro.simnet.profiler import SelfProfiler, deterministic_view
 from repro.simnet.resources import SlotPool, RateDevice, Store
-from repro.simnet.network import Link, Network, Flow, FlowFailed, use_solver
+from repro.simnet.network import Link, Network, Flow, FlowFailed
 from repro.simnet.cluster import Node, Cluster, ClusterSpec, paper_cluster
 from repro.simnet.faults import (
     FaultPlan,
@@ -49,8 +48,6 @@ __all__ = [
     "AnyOf",
     "Interrupt",
     "SimError",
-    "SelfProfiler",
-    "deterministic_view",
     "SlotPool",
     "RateDevice",
     "Store",
@@ -58,7 +55,6 @@ __all__ = [
     "Network",
     "Flow",
     "FlowFailed",
-    "use_solver",
     "Node",
     "Cluster",
     "ClusterSpec",

@@ -16,8 +16,8 @@ Invariants the kernel maintains (property-tested in
   (no silently swallowed simulation errors).
 
 Every scheduled event lives in one binary heap keyed by ``(time, seq)``.
-Two fast paths keep the hot loop cheap at scale (benchmarked by
-``python -m repro bench``):
+Two fast paths keep the hot loop cheap at scale (pinned by
+``tests/simnet/test_kernel_fastpath.py``):
 
 * **lazy cancellation** — :meth:`Event.cancel` tombstones a scheduled
   event instead of rebuilding the heap; the popped tombstone still
@@ -25,8 +25,7 @@ Two fast paths keep the hot loop cheap at scale (benchmarked by
   nothing.  The network's superseded completion timers and the shuffle's
   resolved fetch-deadline timers use this.
 * **pooled ticks** — :meth:`Simulator.tick` hands out recycled
-  :class:`Tick` timers, and same-instant *shared* ticks coalesce into
-  one heap entry (see :class:`Tick`).
+  :class:`Tick` timers (see :class:`Tick`).
 """
 
 from __future__ import annotations
@@ -179,19 +178,12 @@ class Tick(Event):
     Ticks are pre-triggered like :class:`Timeout` but come from a
     per-simulator free list and return to it when their heap entry pops
     — the allocation cost of the network/device completion timers and
-    the periodic heartbeat timers is paid once, not per event.  *Shared*
-    ticks additionally coalesce: consecutive requests for the same
-    expiry instant with no other event scheduled in between merge into
-    one heap entry whose callbacks run in append order — provably the
-    same dispatch order the separate entries would have had, since any
-    interleaving entry would need a sequence number strictly between two
-    consecutive integers.
+    the periodic heartbeat timers is paid once, not per event.
 
     Discipline (enforced by convention, not the kernel): a tick may only
     be scheduled through :meth:`Simulator.tick` / :meth:`Simulator.tick_at`,
-    must not be stored past its expiry, must not be passed to
-    ``all_of``/``any_of``, and a *shared* tick must never be cancelled
-    (cancel would silence the merged siblings too).
+    must not be stored past its expiry and must not be passed to
+    ``all_of``/``any_of``.
     """
 
     __slots__ = ()
@@ -398,28 +390,16 @@ class Simulator:
         self._seq = 0
         self._failed_events: list[Event] = []
         #: Dispatch volume counters (plain ints — free when obs is off);
-        #: the bench harness derives events/sec from these.
+        #: the end-to-end benchmark's ledger reports them.
         self.events_dispatched = 0
         self.events_cancelled = 0
         # -- tick arena ------------------------------------------------------
         #: Free list of recycled :class:`Tick` objects; ticks return here
         #: when their heap entry pops (dispatched or tombstoned).
         self._tick_pool: list[Tick] = []
-        #: Coalescing state: the most recent *shared* tick, its expiry,
-        #: and the sequence number it was scheduled with.  A new shared
-        #: tick merges into it iff nothing else was scheduled since and
-        #: the expiry instant is bit-identical.
-        self._last_shared: Optional[Tick] = None
-        self._last_shared_when = 0.0
-        self._last_shared_seq = -1
         #: Observability hook; :meth:`repro.obs.Observer.attach` replaces
         #: the null default.  Models read ``sim.obs`` — never store it.
         self.obs = NULL_OBS
-        #: Wall-clock self-profiler (:mod:`repro.simnet.profiler`), or
-        #: None.  Checked exactly once per ``run()`` call — with no
-        #: profiler attached the hot loops below are byte-identical to
-        #: the pre-profiler kernel.
-        self._profiler = None
 
     @property
     def now(self) -> float:
@@ -434,11 +414,7 @@ class Simulator:
         return Timeout(self, delay, value)
 
     def tick(
-        self,
-        delay: float,
-        cb: Optional[Callable[[Event], None]] = None,
-        *,
-        shared: bool = False,
+        self, delay: float, cb: Optional[Callable[[Event], None]] = None
     ) -> Tick:
         """A pooled timer firing ``delay`` seconds from now (see :class:`Tick`).
 
@@ -447,35 +423,20 @@ class Simulator:
         """
         if delay < 0:
             raise ValueError(f"negative tick delay: {delay}")
-        return self.tick_at(self._now + delay, cb, shared=shared)
+        return self.tick_at(self._now + delay, cb)
 
     def tick_at(
-        self,
-        when: float,
-        cb: Optional[Callable[[Event], None]] = None,
-        *,
-        shared: bool = False,
+        self, when: float, cb: Optional[Callable[[Event], None]] = None
     ) -> Tick:
         """A pooled timer firing at the *absolute* instant ``when``.
 
         Unlike ``timeout(when - now)`` this schedules the given float
         directly, so a caller accumulating a chain of delays
         ``((t + d1) + d2)`` reproduces the kernel clock's association
-        bit-for-bit.  With ``shared=True`` the tick may coalesce with the
-        immediately-preceding shared tick for the same instant.
+        bit-for-bit.
         """
         if when < self._now:
             raise ValueError(f"tick in the past: {when} < {self._now}")
-        if shared and (
-            self._last_shared is not None
-            and self._last_shared_when == when
-            and self._last_shared_seq == self._seq - 1
-        ):
-            cbs = self._last_shared.callbacks
-            if cbs is not None:  # not yet dispatched/cancelled: mergeable
-                if cb is not None:
-                    cbs.append(cb)
-                return self._last_shared
         pool = self._tick_pool
         if pool:
             ev = pool.pop()
@@ -490,10 +451,6 @@ class Simulator:
         ev._triggered = True
         ev._ok = True
         heapq.heappush(self._heap, (when, self._seq, ev))
-        if shared:
-            self._last_shared = ev
-            self._last_shared_when = when
-            self._last_shared_seq = self._seq
         self._seq += 1
         return ev
 
@@ -536,79 +493,15 @@ class Simulator:
         if type(ev) is Tick:
             self._tick_pool.append(ev)
 
-    # -- self-profiling ------------------------------------------------------
-    def attach_profiler(self, profiler) -> None:
-        """Attach a :class:`repro.simnet.profiler.SelfProfiler`.
-
-        Subsequent ``run()`` calls take the instrumented loop; pass the
-        profiler's accumulated bins on via ``profiler.snapshot()``.
-        """
-        self._profiler = profiler
-
-    def detach_profiler(self):
-        """Detach and return the current profiler (restores fast loops)."""
-        profiler, self._profiler = self._profiler, None
-        return profiler
-
-    @staticmethod
-    def _event_label(callbacks: list) -> str:
-        """Attribution label for a dispatched event's first callback.
-
-        Bound methods label as ``ClassName.method`` — except process
-        resumptions, which label as the process *name* (``tracker3``,
-        ``map12``) so the profiler can tell heartbeats from task work.
-        """
-        cb = callbacks[0]
-        owner = getattr(cb, "__self__", None)
-        if owner is not None:
-            if isinstance(owner, Process):
-                return owner.name
-            return f"{type(owner).__name__}.{getattr(cb, '__name__', 'call')}"
-        return getattr(cb, "__qualname__", None) or getattr(
-            cb, "__name__", "callback"
-        )
-
-    def _run_profiled(self, until: Optional[float]) -> float:
-        """``run()`` with wall-clock attribution (see :mod:`..profiler`).
-
-        Same semantics as the fast loop — same pop order, same counter
-        updates — plus two timers per event: pop bookkeeping goes to the
-        ``kernel`` bin, dispatch time to the event's category bin.
-        """
-        profiler = self._profiler
-        clock = profiler.clock
-        heap = self._heap
-        while heap:
-            t0 = clock()
-            if until is not None and heap[0][0] > until:
-                self._now = until
-                break
-            when, _seq, ev = heapq.heappop(heap)
-            if when < self._now - 1e-15:
-                raise SimError(f"time went backwards: {when} < {self._now}")
-            if when > self._now:
-                self._now = when
-            callbacks, ev.callbacks = ev.callbacks, None
-            t1 = clock()
-            profiler.record_overhead("kernel", t1 - t0)
-            if callbacks:
-                self.events_dispatched += 1
-                label = self._event_label(callbacks)
-                for cb in callbacks:
-                    cb(ev)
-                profiler.record(label, clock() - t1)
-            if type(ev) is Tick:
-                self._tick_pool.append(ev)
-        return self._finish_run()
-
     def run(self, until: Optional[float] = None) -> float:
         """Run until the event heap drains or ``until`` (exclusive of later events).
 
-        Raises the exception of any failed event that no process handled.
-        Returns the final simulated time.
+        Raises the exception of any failed event that no process handled,
+        and :class:`ValueError` for an ``until`` before :attr:`now` (time
+        never runs backwards).  Returns the final simulated time.
         """
-        if self._profiler is not None:
-            return self._run_profiled(until)
+        if until is not None and until < self._now:
+            raise ValueError(f"run(until={until}) is before now={self._now}")
         # Hot loop: pop inlined.  ``heap`` stays a valid alias because
         # _schedule mutates the list in place.
         heap = self._heap

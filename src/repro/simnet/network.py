@@ -13,23 +13,16 @@ from many mappers saturate node downlinks.
 Latency is charged once per flow (propagation + protocol setup, supplied
 by the caller) before the bytes begin to flow.
 
-Two solvers produce the allocation:
-
-* ``reference`` — the original full progressive-filling pass over every
-  link on every flow arrival/departure (O(links × flows) per event).
-* ``fast`` (the default) — an incremental solver that tracks *dirty*
-  links, re-solves only the connected component of flows reachable from
-  a change, short-circuits the single-bottleneck star case, and batches
-  equal-cap freezes.  Progressive filling decomposes over connected
-  components (freezing a flow only alters residuals on its own path), so
-  the fast path reproduces the reference shares **bit-for-bit** — an
-  equivalence pinned by the property/differential tests in
-  ``tests/simnet/test_maxmin_differential.py`` and the golden-export
-  tests in ``tests/experiments/test_golden_fastpath.py``.
-
-Pick the solver per network (``Network(sim, solver="reference")``), per
-process (the ``REPRO_MAXMIN_SOLVER`` environment variable), or lexically
-(:func:`use_solver`).
+The solver is incremental: it tracks *dirty* links, re-solves only the
+connected component of flows reachable from a change, short-circuits
+the single-bottleneck star case, and batches equal-cap freezes.
+Progressive filling decomposes over connected components (freezing a
+flow only alters residuals on its own path), so it reproduces a
+from-scratch full progressive-filling pass **bit-for-bit**.  That pass
+is kept as a test oracle (``reference_rates`` in
+``tests/simnet/oracle.py``) and pinned by the differential tests in
+``tests/simnet/test_maxmin_differential.py`` and the golden-export
+tests in ``tests/experiments/``.
 
 Between solves the flow population advances by *horizon batching*:
 remaining bytes and rates live in dense per-network slot lists, one
@@ -46,46 +39,16 @@ completion instants and delivered bytes match it bit-for-bit.
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from operator import attrgetter
 from typing import Iterable, Optional
 
 from repro.simnet.kernel import Event, Simulator
 
-_SOLVERS = ("fast", "reference")
-
-# Sort keys for the fast solver, hoisted: attrgetter beats a lambda in
-# the per-solve sorts and matches the reference's ordering exactly
-# (links by name; flows by (rate_cap, seq)).
+# Sort keys for the solver, hoisted: attrgetter beats a lambda in the
+# per-solve sorts and matches the reference's ordering exactly (links
+# by name; flows by (rate_cap, seq)).
 _LINK_NAME = attrgetter("name")
 _CAP_SEQ = attrgetter("rate_cap", "seq")
-
-#: Process-wide default for :class:`Network` instances constructed without
-#: an explicit ``solver``.  Overridable via the environment for whole-run
-#: A/B comparisons without touching code.
-DEFAULT_SOLVER = os.environ.get("REPRO_MAXMIN_SOLVER", "fast")
-
-
-@contextmanager
-def use_solver(solver: str):
-    """Run a block with a different default max-min solver.
-
-    The bench harness and the golden differential tests use this to
-    re-run whole experiments under the reference solver::
-
-        with use_solver("reference"):
-            result = fig6_wordcount.run()
-    """
-    global DEFAULT_SOLVER
-    if solver not in _SOLVERS:
-        raise ValueError(f"unknown max-min solver {solver!r} (want one of {_SOLVERS})")
-    prev, DEFAULT_SOLVER = DEFAULT_SOLVER, solver
-    try:
-        yield
-    finally:
-        DEFAULT_SOLVER = prev
-
 
 class FlowFailed(RuntimeError):
     """Raised in processes waiting on a flow that was killed in flight.
@@ -218,14 +181,8 @@ class Network:
 
     _EPS = 1e-9
 
-    def __init__(self, sim: Simulator, solver: Optional[str] = None):
-        solver = DEFAULT_SOLVER if solver is None else solver
-        if solver not in _SOLVERS:
-            raise ValueError(
-                f"unknown max-min solver {solver!r} (want one of {_SOLVERS})"
-            )
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.solver = solver
         self._links: dict[str, Link] = {}
         self._flows: set[Flow] = set()
         self._last_t = 0.0
@@ -238,7 +195,7 @@ class Network:
         self.flows_failed = 0
         self.flows_cancelled = 0
         self.first_flow_failure_at: Optional[float] = None
-        # -- fast-path state ----------------------------------------------------
+        # -- incremental-solver state -------------------------------------------
         #: Links whose flow set or capacity changed since the last solve;
         #: the incremental solver only revisits their connected component.
         self._dirty: set[Link] = set()
@@ -704,74 +661,6 @@ class Network:
                 link._settle(now)
 
     def _maxmin_rates(self) -> None:
-        """Recompute the max-min fair allocation with the configured solver
-        (called only while at least one flow is active)."""
-        if self.solver == "fast":
-            self._maxmin_rates_fast()
-        else:
-            self._dirty.clear()
-            self.rate_recomputes += 1
-            self.rate_recompute_flows += len(self._flows)
-            self._settle_component(self._flows)
-            self._maxmin_rates_reference()
-            self._sync_rates()
-
-    def _maxmin_rates_reference(self) -> None:
-        """Progressive filling over all links touched by active flows.
-
-        Per-flow rate caps participate as virtual bottlenecks: whenever
-        the smallest unfrozen cap is tighter than the tightest link
-        share, that flow freezes at its cap (releasing link capacity to
-        the others) — the standard capped max-min extension.
-
-        This is the slow reference the fast path is pinned against; it
-        recomputes every flow from scratch on every call.
-        """
-        unfrozen: set[Flow] = set(self._flows)
-        residual: dict[Link, float] = {}
-        for flow in self._flows:
-            flow.rate = 0.0
-            for link in flow.path:
-                residual.setdefault(link, link.capacity)
-
-        while unfrozen:
-            # Bottleneck link: smallest per-flow fair share among links that
-            # still carry unfrozen flows.
-            best_link: Optional[Link] = None
-            best_share = float("inf")
-            # Sort by name so epsilon-ties resolve the same way every run.
-            for link in sorted(residual, key=lambda l: l.name):
-                n = sum(1 for f in link._flows if f in unfrozen)
-                if n == 0:
-                    continue
-                share = residual[link] / n
-                if share < best_share - self._EPS:
-                    best_share = share
-                    best_link = link
-            # Tightest protocol cap among unfrozen flows.
-            capped = min(unfrozen, key=lambda f: (f.rate_cap, f.seq))
-            if capped.rate_cap < best_share:
-                rate = capped.rate_cap
-                capped.rate = rate
-                unfrozen.discard(capped)
-                for link in capped.path:
-                    residual[link] = max(0.0, residual[link] - rate)
-                continue
-            if best_link is None:
-                # Remaining flows traverse no constrained link (shouldn't
-                # happen for non-empty paths); cap-bound or effectively
-                # infinite.
-                for flow in unfrozen:
-                    flow.rate = min(flow.rate_cap, 1e18)
-                break
-            froze = [f for f in best_link._flows if f in unfrozen]
-            for flow in froze:
-                flow.rate = best_share
-                unfrozen.discard(flow)
-                for link in flow.path:
-                    residual[link] = max(0.0, residual[link] - best_share)
-
-    def _maxmin_rates_fast(self) -> None:
         """Incremental max-min: re-solve only the dirty connected component.
 
         Progressive filling decomposes over connected components of the
@@ -787,8 +676,8 @@ class Network:
             return
         # Small populations (the paper's 8-node cluster tops out around
         # 40 concurrent flows): finding the dirty component costs more
-        # than re-solving everything with the fast kernel, and solving
-        # the full flow set IS the reference semantics — trivially exact.
+        # than re-solving everything, and solving the full flow set IS
+        # the reference semantics — trivially exact.
         if len(self._flows) <= 48:
             dirty.clear()
             self.rate_recomputes += 1
@@ -835,7 +724,7 @@ class Network:
     def _solve_component(self, flows: set[Flow]) -> None:
         """Progressive filling restricted to one closed component.
 
-        Bit-for-bit equal to :meth:`_maxmin_rates_reference` on the same
+        Bit-for-bit equal to the from-scratch reference pass on the same
         flows: identical divisions, subtraction order and epsilon-tie
         resolution — only the bookkeeping is cheaper.  The measured shape
         of Figure-6 components (a few flows over 2–8 links, ~96 % of them

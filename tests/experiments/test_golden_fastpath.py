@@ -1,11 +1,12 @@
 """Golden determinism: experiment exports are solver- and engine-independent.
 
-The fast max-min solver and the horizon-batching flow engine are only
-admissible because they change *nothing* observable: every experiment
-export must serialise byte-identically under the fast and reference
-solvers, with the scalar flow-engine oracle swapped into the clusters,
-and identically across two same-seed runs.  These are the end-to-end
-twins of the per-step differential tests in ``tests/simnet``.
+The incremental max-min solver and the horizon-batching flow engine are
+only admissible because they change *nothing* observable: every
+experiment export must serialise byte-identically with the reference
+solver or the scalar flow-engine oracle swapped into the clusters
+(:mod:`tests.simnet.oracle`), and identically across two same-seed
+runs.  These are the end-to-end twins of the per-step differential
+tests in ``tests/simnet``.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.simnet.network import use_solver
-from tests.simnet.oracle import use_scalar_oracle
+from tests.simnet.oracle import use_reference_solver, use_scalar_oracle
 
 
 def _fig6_export(size_gb=1.0, seed=2011):
@@ -42,11 +42,10 @@ def _network_faults_export(seed=2011):
 
 
 class TestFig6Golden:
-    def test_fast_matches_reference_bit_for_bit(self):
+    def test_fast_matches_reference_bit_for_bit(self, monkeypatch):
         fast = _fig6_export()
-        with use_solver("reference"):
-            ref = _fig6_export()
-        assert fast == ref
+        use_reference_solver(monkeypatch)
+        assert _fig6_export() == fast
 
     def test_same_seed_rerun_is_identical(self):
         assert _fig6_export() == _fig6_export()
@@ -62,11 +61,10 @@ class TestFig6Golden:
 
 
 class TestNetworkFaultsGolden:
-    def test_fast_matches_reference_bit_for_bit(self):
+    def test_fast_matches_reference_bit_for_bit(self, monkeypatch):
         fast = _network_faults_export()
-        with use_solver("reference"):
-            ref = _network_faults_export()
-        assert fast == ref
+        use_reference_solver(monkeypatch)
+        assert _network_faults_export() == fast
 
     def test_same_seed_rerun_is_identical(self):
         assert _network_faults_export() == _network_faults_export()
@@ -81,8 +79,7 @@ class TestNetworkFaultsGolden:
 
 
 @pytest.mark.slow
-def test_fig6_10gb_fast_matches_reference():
+def test_fig6_10gb_fast_matches_reference(monkeypatch):
     fast = _fig6_export(size_gb=10.0)
-    with use_solver("reference"):
-        ref = _fig6_export(size_gb=10.0)
-    assert fast == ref
+    use_reference_solver(monkeypatch)
+    assert _fig6_export(size_gb=10.0) == fast

@@ -175,8 +175,7 @@ class TestReplayCli:
             "size_gb,hadoop_s,mpid_s\n1,100,40\n")
         out = tmp_path / "sweep.html"
         rc = replay_main(
-            ["sweep", "--results-dir", str(results), "--bench",
-             "--out", str(out)]
+            ["sweep", "--results-dir", str(results), "--out", str(out)]
         )
         assert rc == 0
         assert 'id="sweep-data"' in out.read_text()
@@ -206,6 +205,6 @@ class TestMainDispatch:
 
         out = tmp_path / "sweep.html"
         rc = main(["replay", "sweep", "--results-dir",
-                   str(tmp_path / "none"), "--bench", "--out", str(out)])
+                   str(tmp_path / "none"), "--out", str(out)])
         assert rc == 0
         assert out.exists()

@@ -1,4 +1,5 @@
-"""The scalar flow engine, kept as a test oracle for :mod:`repro.simnet`.
+"""Test oracles for :mod:`repro.simnet`: the scalar flow engine and the
+from-scratch max-min solver.
 
 :class:`ScalarNetwork` advances flows one attribute at a time, charges
 link counters eagerly and re-solves max-min synchronously on every
@@ -7,9 +8,17 @@ synchronously too.  The production engine (dense slots, one solve per
 instant, lazy link accounting) must match both bit-for-bit on every
 rate, completion instant and delivered byte.  :func:`use_scalar_oracle`
 swaps both into every cluster built afterwards.
+
+:func:`reference_rates` is the full progressive-filling pass over every
+active flow; the production solver (incremental, per dirty component)
+must reproduce its shares bit-for-bit.  :class:`ReferenceSolverNetwork`
+solves with it on every reallocation and :func:`use_reference_solver`
+swaps it into every cluster built afterwards.
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from repro.simnet import cluster as cluster_mod
 from repro.simnet.network import Flow, Link, Network
@@ -111,3 +120,77 @@ def use_scalar_oracle(monkeypatch) -> None:
     oracles (undone by ``monkeypatch`` at test teardown)."""
     monkeypatch.setattr(cluster_mod, "Network", ScalarNetwork)
     monkeypatch.setattr(cluster_mod, "RateDevice", ScalarRateDevice)
+
+
+def reference_rates(net: Network) -> None:
+    """Progressive filling over all links touched by active flows.
+
+    Per-flow rate caps participate as virtual bottlenecks: whenever
+    the smallest unfrozen cap is tighter than the tightest link
+    share, that flow freezes at its cap (releasing link capacity to
+    the others) — the standard capped max-min extension.
+
+    This is the slow reference the production solver is pinned
+    against; it recomputes every flow from scratch on every call.
+    """
+    unfrozen: set[Flow] = set(net._flows)
+    residual: dict[Link, float] = {}
+    for flow in net._flows:
+        flow.rate = 0.0
+        for link in flow.path:
+            residual.setdefault(link, link.capacity)
+
+    while unfrozen:
+        # Bottleneck link: smallest per-flow fair share among links that
+        # still carry unfrozen flows.
+        best_link: Optional[Link] = None
+        best_share = float("inf")
+        # Sort by name so epsilon-ties resolve the same way every run.
+        for link in sorted(residual, key=lambda l: l.name):
+            n = sum(1 for f in link._flows if f in unfrozen)
+            if n == 0:
+                continue
+            share = residual[link] / n
+            if share < best_share - net._EPS:
+                best_share = share
+                best_link = link
+        # Tightest protocol cap among unfrozen flows.
+        capped = min(unfrozen, key=lambda f: (f.rate_cap, f.seq))
+        if capped.rate_cap < best_share:
+            rate = capped.rate_cap
+            capped.rate = rate
+            unfrozen.discard(capped)
+            for link in capped.path:
+                residual[link] = max(0.0, residual[link] - rate)
+            continue
+        if best_link is None:
+            # Remaining flows traverse no constrained link (shouldn't
+            # happen for non-empty paths); cap-bound or effectively
+            # infinite.
+            for flow in unfrozen:
+                flow.rate = min(flow.rate_cap, 1e18)
+            break
+        froze = [f for f in best_link._flows if f in unfrozen]
+        for flow in froze:
+            flow.rate = best_share
+            unfrozen.discard(flow)
+            for link in flow.path:
+                residual[link] = max(0.0, residual[link] - best_share)
+
+
+class ReferenceSolverNetwork(Network):
+    """:class:`Network` that re-solves every flow with :func:`reference_rates`."""
+
+    def _maxmin_rates(self) -> None:
+        self._dirty.clear()
+        self.rate_recomputes += 1
+        self.rate_recompute_flows += len(self._flows)
+        self._settle_component(self._flows)
+        reference_rates(self)
+        self._sync_rates()
+
+
+def use_reference_solver(monkeypatch) -> None:
+    """Build every later :class:`~repro.simnet.cluster.Cluster` on the
+    reference solver (undone by ``monkeypatch`` at test teardown)."""
+    monkeypatch.setattr(cluster_mod, "Network", ReferenceSolverNetwork)

@@ -52,6 +52,16 @@ class TestTimeAdvance:
         assert sim.run(until=4.0) == 4.0
         assert sim.peek() == 10.0
 
+    def test_run_until_in_the_past_raises(self):
+        sim = Simulator()
+        sim.timeout(10.0)
+        assert sim.run(until=5.0) == 5.0
+        with pytest.raises(ValueError):
+            sim.run(until=3.0)
+        assert sim.now == 5.0
+        assert sim.run(until=5.0) == 5.0  # until == now is a no-op
+        assert sim.peek() == 10.0
+
     @given(st.lists(st.floats(0, 100), min_size=1, max_size=20))
     def test_time_never_decreases(self, delays):
         sim = Simulator()

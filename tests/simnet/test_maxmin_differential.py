@@ -1,13 +1,15 @@
-"""Differential + property tests pinning the fast solver AND the
+"""Differential + property tests pinning the max-min solver AND the
 flow engine.
 
-Two independent fast paths must reproduce the reference **bit-for-bit**
-— same divisions, same epsilon-tie choices, same floats — under
-arbitrary interleavings of flow arrivals, departures, kills, link
-flaps, capacity changes and partitions:
+Two independent optimisations must reproduce their oracles
+(:mod:`tests.simnet.oracle`) **bit-for-bit** — same divisions, same
+epsilon-tie choices, same floats — under arbitrary interleavings of
+flow arrivals, departures, kills, link flaps, capacity changes and
+partitions:
 
-* the fast max-min solver (`Network._maxmin_rates_fast`) against the
-  from-scratch reference solver, checked synchronously at every op;
+* the incremental max-min solver (`Network._maxmin_rates`) against the
+  from-scratch :func:`~tests.simnet.oracle.reference_rates`, checked
+  synchronously at every op;
 * the horizon-batching engine (dense slot lists, deferred same-instant
   solve flush, pooled completion ticks) against the scalar oracle
   (:class:`tests.simnet.oracle.ScalarNetwork`), checked by replaying
@@ -17,10 +19,7 @@ flaps, capacity changes and partitions:
 
 Max-min structural invariants (capacity respected, caps respected,
 every uncapped-below-cap flow has a saturated bottleneck where it gets
-a maximal share) are asserted on the same checkpoints.  A final
-property pins the kernel's shared-tick coalescing: a traced Hadoop run
-streams a byte-identical trace store whether heartbeat timers coalesce
-or not.
+a maximal share) are asserted on the same checkpoints.
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.kernel import Simulator
-from repro.simnet.network import DEFAULT_SOLVER, Network, use_solver
-from tests.simnet.oracle import ScalarNetwork
+from repro.simnet.network import Network
+from tests.simnet.oracle import ReferenceSolverNetwork, ScalarNetwork, reference_rates
 
 NODES = 5
 REL_TOL = 1e-6
@@ -47,7 +46,7 @@ ENGINES = [
 
 def _build(network_cls=Network):
     sim = Simulator()
-    net = network_cls(sim, solver="fast")
+    net = network_cls(sim)
     ups, dns = [], []
     for n in range(NODES):
         # Deliberately non-uniform capacities: uniform ones hide
@@ -58,13 +57,13 @@ def _build(network_cls=Network):
 
 
 def _check_against_reference(net: Network) -> None:
-    """Fast solver's standing rates == a from-scratch reference solve."""
-    fast_rates = {f.seq: f.rate for f in net._flows}
-    net._maxmin_rates_reference()
+    """Standing rates == a from-scratch reference solve."""
+    rates = {f.seq: f.rate for f in net._flows}
+    reference_rates(net)
     ref_rates = {f.seq: f.rate for f in net._flows}
-    assert fast_rates == ref_rates, (
-        "fast solver diverged from reference: "
-        f"{ {s: (fast_rates[s], ref_rates[s]) for s in fast_rates if fast_rates[s] != ref_rates[s]} }"
+    assert rates == ref_rates, (
+        "solver diverged from reference: "
+        f"{ {s: (rates[s], ref_rates[s]) for s in rates if rates[s] != ref_rates[s]} }"
     )
 
 
@@ -198,17 +197,16 @@ _op = st.one_of(
 def test_differential_random_ops(ops):
     """Hypothesis churn, swept across engines AND solvers.
 
-    The scalar oracle run is the reference: the slot engine under
-    either solver must reproduce its checkpoint rates, finish instants
-    and delivered bytes *exactly* (no tolerance: same IEEE operations,
-    same results).
+    The scalar oracle run is the reference: the slot engine with either
+    the production or the reference solver must reproduce its
+    checkpoint rates, finish instants and delivered bytes *exactly* (no
+    tolerance: same IEEE operations, same results).
     """
     _, ref_log, ref_bytes = _apply_ops(ops, ScalarNetwork)
-    for solver in ("fast", "reference"):
-        with use_solver(solver):
-            _, log, nbytes = _apply_ops(ops)
+    for network_cls in (Network, ReferenceSolverNetwork):
+        _, log, nbytes = _apply_ops(ops, network_cls)
         assert log == ref_log, (
-            f"solver={solver} diverged from the scalar oracle"
+            f"{network_cls.__name__} diverged from the scalar oracle"
         )
         assert nbytes == ref_bytes
 
@@ -271,32 +269,13 @@ def test_differential_seeded_churn_long(seed, network_cls):
     assert checks >= 400
 
 
-def test_solver_flag_validation():
-    sim = Simulator()
-    with pytest.raises(ValueError):
-        Network(sim, solver="bogus")
-    with pytest.raises(ValueError):
-        with use_solver("bogus"):
-            pass
-    assert Network(sim, solver="reference").solver == "reference"
-    assert DEFAULT_SOLVER in ("fast", "reference")
-
-
-def test_use_solver_restores_default():
-    sim = Simulator()
-    before = Network(sim).solver
-    with use_solver("reference"):
-        assert Network(sim).solver == "reference"
-    assert Network(sim).solver == before
-
-
 def test_skip_counter_counts_clean_solves():
     sim, net, ups, dns = _build()
     f = net.transfer_flow((ups[0], dns[1]), 1e6)
     net._settle_pending()
     assert net.rate_recomputes == 1
     net._dirty.clear()
-    net._maxmin_rates_fast()
+    net._maxmin_rates()
     assert net.rate_skips == 1
     assert f.rate > 0
 
@@ -313,47 +292,3 @@ def test_vectorized_defers_solve_to_one_per_instant():
     # Settling consumed the pending flush; settling again is a no-op.
     net._settle_pending()
     assert net.rate_recomputes == 1
-
-
-# -- shared-tick coalescing vs streamed trace stores -------------------------
-
-
-def _streamed_hadoop_store(tmp_path, name: str, coalesce: bool) -> bytes:
-    from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.util.units import MiB
-
-    saved = Simulator.tick
-    if not coalesce:
-
-        def unshared_tick(self, delay, cb=None, *, shared=False):
-            return saved(self, delay, cb, shared=False)
-
-        Simulator.tick = unshared_tick
-    try:
-        spec = JobSpec(
-            name="coalesce",
-            input_bytes=96 * MiB,
-            profile=WORDCOUNT_PROFILE,
-            num_reduce_tasks=1,
-        )
-        hsim = HadoopSimulation(spec=spec, config=HadoopConfig(), observe=True)
-        path = tmp_path / name
-        with hsim.obs.stream_to(path, system="hadoop"):
-            hsim.run()
-        return path.read_bytes()
-    finally:
-        Simulator.tick = saved
-
-
-def test_heartbeat_coalescing_keeps_trace_store_byte_identical(tmp_path):
-    """Shared-tick merging is a pure allocation optimization.
-
-    Heartbeat/periodic timers that coalesce into one shared tick must
-    dispatch in exactly the order separate ticks would have (append
-    order == seq order), so a fully traced run streams a byte-identical
-    store with coalescing forced off.
-    """
-    merged = _streamed_hadoop_store(tmp_path, "merged.jsonl", coalesce=True)
-    split = _streamed_hadoop_store(tmp_path, "split.jsonl", coalesce=False)
-    assert merged == split

@@ -199,8 +199,8 @@ class TestArenaIsolation:
     The flow engine keeps per-network dense slot lists (swap-remove
     recycling) and draws completion timers from the simulator's pooled
     tick arena.  A fresh Network — on a fresh simulator OR sharing a
-    simulator whose tick pool and shared-tick state are already warm
-    from a previous network's run — must behave exactly like the first.
+    simulator whose tick pool is already warm from a previous
+    network's run — must behave exactly like the first.
     """
 
     SIZES = (50.0, 130.0, 70.0, 260.0)
