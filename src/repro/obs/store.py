@@ -37,6 +37,17 @@ Event lines (``k`` tags the kind):
 {"k":"footer", ...}
 ```
 
+Every line is exactly the compact ``json.dumps(event,
+separators=(",", ":"))`` of its event dict.  The four hot kinds
+(``begin``, ``end``, ``edge``, ``sample``: nearly every line of a store)
+are written from fixed templates when every field has an exact type whose
+text is known to match ``json`` — ``int``, ``str``, finite ``float``, and
+in ``args`` also ``bool`` and ``None``.  Everything else (NaN and
+infinities, numpy scalars, subclasses, nested args, ``instant`` lines,
+the header and the footer) goes through one cached ``json`` encoder.
+``JsonStoreWriter`` in ``tests/obs/oracle.py`` is the dict-per-line
+writer the templates replaced; the tests hold the two byte-equal.
+
 Timestamps are simulated seconds; nothing wall-clock enters the file, so
 two runs of the same seeded simulation write byte-identical stores (the
 CI determinism job diffs exactly that).
@@ -57,8 +68,84 @@ FORMAT_VERSION = 1
 DEFAULT_INDEX_EVERY = 1000
 
 
-def _compact(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+#: The one compact encoder for every line the templates do not write.
+#: ``json.dumps`` with non-default separators builds a new encoder per
+#: call; this one gives the same bytes.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+#: ``json``'s own string escaper: ASCII-only, quotes included.
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _number(x) -> bool:
+    """Whether ``repr(x)`` is what ``json`` writes for ``x``: an exact
+    ``int`` or an exact finite ``float``."""
+    return (type(x) is float and -_INF < x < _INF) or type(x) is int
+
+
+def _flat_args(args) -> Optional[str]:
+    """``args`` as ``json`` writes it, or None to leave it to ``json``.
+
+    Renders a dict of ``str`` keys whose values are exact ``str``,
+    ``bool``, ``int``, finite ``float`` or ``None``; anything else (NaN,
+    infinities, numpy scalars, subclasses, nesting) returns None.
+    """
+    if type(args) is not dict:
+        return None
+    if not args:
+        return "{}"
+    items = []
+    for key, value in args.items():
+        if type(key) is not str:
+            return None
+        kind = type(value)
+        if kind is str:
+            text = _quote(value)
+        elif kind is bool:
+            text = "true" if value else "false"
+        elif _number(value):
+            text = repr(value)
+        elif value is None:
+            text = "null"
+        else:
+            return None
+        items.append(f"{_quote(key)}:{text}")
+    return "{" + ",".join(items) + "}"
+
+
+def _begin_event(span: Span) -> dict:
+    return {
+        "k": "begin",
+        "sid": span.sid,
+        "parent": span.parent,
+        "cat": span.category,
+        "name": span.name,
+        "track": span.track,
+        "t0": span.t0,
+        "args": span.args,
+    }
+
+
+def _instant_event(inst: Instant) -> dict:
+    return {
+        "k": "instant",
+        "t": inst.time,
+        "cat": inst.category,
+        "name": inst.name,
+        "track": inst.track,
+        "args": inst.args,
+    }
+
+
+def _edge_event(edge: Edge) -> dict:
+    return {
+        "k": "edge",
+        "src": edge.src,
+        "dst": edge.dst,
+        "kind": edge.kind,
+        "t": edge.time,
+        "args": edge.args,
+    }
 
 
 class TraceStoreWriter:
@@ -106,60 +193,81 @@ class TraceStoreWriter:
         return self
 
     def _write(self, obj: dict) -> None:
-        self._fh.write(_compact(obj))
-        self._fh.write("\n")
+        self._fh.write(_encode(obj) + "\n")
 
-    def _event(self, obj: dict) -> None:
+    def _count(self, kind: str) -> None:
+        """Book the event whose line is written next, at the current offset."""
         if self.events % self.index_every == 0:
             self._index.append([self.events, self._fh.tell()])
         self.events += 1
-        self.counts[obj["k"]] += 1
-        self._write(obj)
+        self.counts[kind] += 1
 
     # -- sink protocol --------------------------------------------------------
+    # Each line is formatted when it is recorded: ``SpanTracer.end`` merges
+    # its args into ``span.args`` later.  The event is booked before its
+    # line is formatted, so one whose value ``json`` refuses still counts.
     def on_begin(self, span: Span) -> None:
-        self._event(
-            {
-                "k": "begin",
-                "sid": span.sid,
-                "parent": span.parent,
-                "cat": span.category,
-                "name": span.name,
-                "track": span.track,
-                "t0": span.t0,
-                "args": span.args,
-            }
-        )
+        self._count("begin")
+        sid, parent, t0 = span.sid, span.parent, span.t0
+        cat, name, track = span.category, span.name, span.track
+        args = _flat_args(span.args)
+        if (
+            args is not None
+            and type(sid) is int
+            and type(parent) is int
+            and type(cat) is str
+            and type(name) is str
+            and type(track) is str
+            and _number(t0)
+        ):
+            self._fh.write(
+                f'{{"k":"begin","sid":{sid!r},"parent":{parent!r},'
+                f'"cat":{_quote(cat)},"name":{_quote(name)},'
+                f'"track":{_quote(track)},"t0":{t0!r},"args":{args}}}\n'
+            )
+        else:
+            self._write(_begin_event(span))
 
     def on_end(self, sid: int, t1: float, args: dict) -> None:
-        self._event({"k": "end", "sid": sid, "t1": t1, "args": args})
+        self._count("end")
+        text = _flat_args(args)
+        if text is not None and type(sid) is int and _number(t1):
+            self._fh.write(
+                f'{{"k":"end","sid":{sid!r},"t1":{t1!r},"args":{text}}}\n'
+            )
+        else:
+            self._write({"k": "end", "sid": sid, "t1": t1, "args": args})
 
     def on_instant(self, inst: Instant) -> None:
-        self._event(
-            {
-                "k": "instant",
-                "t": inst.time,
-                "cat": inst.category,
-                "name": inst.name,
-                "track": inst.track,
-                "args": inst.args,
-            }
-        )
+        self._count("instant")
+        self._write(_instant_event(inst))
 
     def on_edge(self, edge: Edge) -> None:
-        self._event(
-            {
-                "k": "edge",
-                "src": edge.src,
-                "dst": edge.dst,
-                "kind": edge.kind,
-                "t": edge.time,
-                "args": edge.args,
-            }
-        )
+        self._count("edge")
+        src, dst, kind, t = edge.src, edge.dst, edge.kind, edge.time
+        args = _flat_args(edge.args)
+        if (
+            args is not None
+            and type(src) is int
+            and type(dst) is int
+            and type(kind) is str
+            and _number(t)
+        ):
+            self._fh.write(
+                f'{{"k":"edge","src":{src!r},"dst":{dst!r},'
+                f'"kind":{_quote(kind)},"t":{t!r},"args":{args}}}\n'
+            )
+        else:
+            self._write(_edge_event(edge))
 
     def on_sample(self, name: str, t: float, value: float) -> None:
-        self._event({"k": "sample", "m": name, "t": t, "v": value})
+        self._count("sample")
+        if type(name) is str and _number(t) and _number(value):
+            self._fh.write(
+                f'{{"k":"sample","m":{_quote(name)},"t":{t!r},"v":{value!r}}}\n'
+            )
+        else:
+            self._write({"k": "sample", "m": name, "t": t, "v": value})
 
     # -- closing --------------------------------------------------------------
     def close(self) -> Path:
@@ -302,22 +410,7 @@ def events_of(obs) -> Iterator[dict]:
     """
     keyed: list[tuple[float, int, dict]] = []
     for span in obs.tracer.spans:
-        keyed.append(
-            (
-                span.t0,
-                2 * span.sid,
-                {
-                    "k": "begin",
-                    "sid": span.sid,
-                    "parent": span.parent,
-                    "cat": span.category,
-                    "name": span.name,
-                    "track": span.track,
-                    "t0": span.t0,
-                    "args": span.args,
-                },
-            )
-        )
+        keyed.append((span.t0, 2 * span.sid, _begin_event(span)))
         if span.t1 is not None:
             keyed.append(
                 (
@@ -328,36 +421,10 @@ def events_of(obs) -> Iterator[dict]:
             )
     base = 2 * len(obs.tracer.spans) + 2
     for i, inst in enumerate(obs.tracer.instants):
-        keyed.append(
-            (
-                inst.time,
-                base + i,
-                {
-                    "k": "instant",
-                    "t": inst.time,
-                    "cat": inst.category,
-                    "name": inst.name,
-                    "track": inst.track,
-                    "args": inst.args,
-                },
-            )
-        )
+        keyed.append((inst.time, base + i, _instant_event(inst)))
     base += len(obs.tracer.instants)
     for i, edge in enumerate(obs.tracer.edges):
-        keyed.append(
-            (
-                edge.time,
-                base + i,
-                {
-                    "k": "edge",
-                    "src": edge.src,
-                    "dst": edge.dst,
-                    "kind": edge.kind,
-                    "t": edge.time,
-                    "args": edge.args,
-                },
-            )
-        )
+        keyed.append((edge.time, base + i, _edge_event(edge)))
     base += len(obs.tracer.edges)
     for i, name in enumerate(obs.metrics.names()):
         metric = obs.metrics._metrics[name]
@@ -395,6 +462,11 @@ def load_tracer(
                 raise ValueError(
                     f"store corrupt: begin sid {sid} after {len(spans)} spans"
                 )
+            if not 0 <= ev["parent"] < sid:
+                raise ValueError(
+                    f"store corrupt: span {sid} has parent {ev['parent']}, "
+                    f"not an earlier span"
+                )
             span = Span(
                 sid,
                 ev["parent"],
@@ -413,6 +485,8 @@ def load_tracer(
             if not 1 <= sid <= len(spans):
                 raise ValueError(f"store corrupt: end of unknown span {sid}")
             span = spans[sid - 1]
+            if span.t1 is not None:
+                raise ValueError(f"store corrupt: span {sid} ended twice")
             span.t1 = ev["t1"]
             if ev["args"]:
                 span.args.update(ev["args"])
@@ -426,6 +500,12 @@ def load_tracer(
             )
             last_t[0] = max(last_t[0], ev["t"])
         elif kind == "edge":
+            src, dst = ev["src"], ev["dst"]
+            for sid in (src, dst):
+                if not 1 <= sid <= len(spans):
+                    raise ValueError(f"store corrupt: edge with unknown span {sid}")
+            if src == dst:
+                raise ValueError(f"store corrupt: edge from span {src} to itself")
             tracer.edges.append(
                 Edge(ev["src"], ev["dst"], ev["kind"], ev["t"], ev["args"])
             )
