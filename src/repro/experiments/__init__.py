@@ -1,11 +1,13 @@
 """Experiment drivers: one module per table/figure in the paper.
 
-Each module exposes ``run(...)`` returning a plain result structure,
+Each module exposes ``run(...)`` returning a plain result structure and
 ``format_report(result)`` rendering the same rows/series the paper
-prints, and a ``main()`` so it can be invoked as a script::
+prints.  :mod:`repro.experiments.registry` lists every experiment once,
+and ``python -m repro`` runs any of them::
 
-    python -m repro.experiments.fig2_latency
-    python -m repro.experiments.table1_copy_pct --full
+    python -m repro fig2
+    python -m repro table1 --full
+    python -m repro fig6 --sizes-gb 1,4 --out results/
 
 ``--full`` reproduces the paper's exact input sizes (minutes of wall
 time); the default is a scaled-down sweep with the same shape.

@@ -11,12 +11,11 @@ planes:
 * **performance** — price the 10 GB WordCount of Figure 6 with the
   combiner's selectivity reduction disabled vs enabled.
 
-Run: ``python -m repro.experiments.ablation_combiner``
+Run: ``python -m repro ablation_combiner``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, replace
 
 from repro.core import MapReduceJob, SummingCombiner, run_job
@@ -111,13 +110,6 @@ def format_report(result: CombinerAblation) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--corpus-bytes", type=int, default=60_000)
-    args = parser.parse_args(argv)
-    print(format_report(run(corpus_bytes=args.corpus_bytes)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

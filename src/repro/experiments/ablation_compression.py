@@ -6,12 +6,11 @@ the performance twin prices the codec CPU against the bandwidth saved
 on a shuffle-heavy sort — compression pays exactly when the network,
 not the CPU, is the constraint.
 
-Run: ``python -m repro.experiments.ablation_compression``
+Run: ``python -m repro ablation_compression``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 
 from repro.core import MapReduceJob, MpiDConfig, run_job
@@ -95,11 +94,6 @@ def format_report(result: CompressionAblation) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    argparse.ArgumentParser(description=__doc__).parse_args(argv)
-    print(format_report(run()))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

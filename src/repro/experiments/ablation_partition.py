@@ -7,12 +7,11 @@ dominates), huge arrays mean fewer, larger sends (rendezvous, less
 overlap granularity).  The functional plane confirms correctness is
 size-independent; the performance plane shows the throughput curve.
 
-Run: ``python -m repro.experiments.ablation_partition``
+Run: ``python -m repro ablation_partition``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field, replace
 
 from repro.core import MapReduceJob, MpiDConfig, run_job
@@ -77,11 +76,6 @@ def format_report(result: PartitionAblation) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    argparse.ArgumentParser(description=__doc__).parse_args(argv)
-    print(format_report(run()))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -7,12 +7,11 @@ This ablation sweeps ``maps_per_heartbeat`` and the heartbeat interval
 on a small WordCount to expose that structural overhead (and shows it
 washing out at larger inputs).
 
-Run: ``python -m repro.experiments.ablation_scheduling``
+Run: ``python -m repro ablation_scheduling``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments.reporting import Table, banner
@@ -95,11 +94,6 @@ def format_report(result: SchedulingAblation) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    argparse.ArgumentParser(description=__doc__).parse_args(argv)
-    print(format_report(run()))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -16,16 +16,17 @@ arrival randomness), so the FIFO replay model's assumptions are met by
 construction and the projection error isolates model error — the
 acceptance bar is <= 10% on the capacity and drop-tenant knobs.
 
-``--store-out`` additionally produces seeded multi-tenant streamed
-trace stores whose footers carry the engine's per-tenant SLO summary
-and blame mix — the corpus :mod:`repro.obs.fleet` aggregates and the
-CI fleet-smoke job byte-diffs across same-seed double runs.
+Run: ``python -m repro capacity [--quick] [--seed N] [--out DIR]``; it
+exits 1 when fewer than two gated projections meet the target.
+
+:func:`produce_stores` writes seeded multi-tenant streamed trace stores
+whose footers carry the engine's per-tenant SLO summary and blame mix —
+the corpus :mod:`repro.obs.fleet` aggregates and the CI fleet-smoke job
+byte-diffs across same-seed double runs.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -379,55 +380,14 @@ def format_report(report: dict) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="fewer/smaller jobs, skip the add-nodes scenario (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write capacity.json here (a directory)",
-    )
-    parser.add_argument(
-        "--store-out", type=Path, default=None,
-        help="also produce seeded multi-tenant .jsonl stores for the "
-        "fleet view in this directory",
-    )
-    parser.add_argument(
-        "--store-seeds", type=str, default="2011,2012",
-        help="comma-separated seeds for --store-out (default 2011,2012)",
-    )
-    parser.add_argument(
-        "--store-horizon", type=float, default=240.0,
-        help="arrival horizon for --store-out runs (default 240)",
-    )
-    args = parser.parse_args(argv)
-
-    report = run(seed=args.seed, quick=args.quick)
-    print(format_report(report))
-    status = 0
+def exit_status(report: dict) -> int:
+    """1 unless at least two gated projections met the error target."""
     if report["gated_within_target"] < min(2, report["gated_total"]):
         print("\nFAIL: fewer than 2 gated projections met the error target")
-        status = 1
-    if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        path = args.out / "capacity.json"
-        with path.open("w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {path}")
-    if args.store_out is not None:
-        seeds = tuple(
-            int(t) for t in args.store_seeds.split(",") if t.strip()
-        )
-        for path in produce_stores(
-            args.store_out, seeds=seeds, horizon=args.store_horizon
-        ):
-            print(f"wrote {path}")
-    return status
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -22,12 +22,11 @@ first-order Coz-style prediction lands within a few percent; the copy
 knob also shrinks per-fetch setup waits only partially, which the
 report calls out.
 
-Run: ``python -m repro.experiments.critical_path [--full] [--validate]``
+Run: ``python -m repro critical_path [--quick|--full] [--validate]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -242,28 +241,6 @@ def format_report(result: CriticalPathResult) -> str:
     return "\n\n".join(parts)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="sweep 1/10/50/100 GB (slow)"
-    )
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--validate",
-        action="store_true",
-        help="re-run the simulator with the top what-if knob turned",
-    )
-    parser.add_argument(
-        "--pct", type=float, default=0.25, help="virtual speedup to validate"
-    )
-    args = parser.parse_args(argv)
-    sizes = (1.0, 10.0, 50.0, 100.0) if args.full else (1.0, 10.0)
-    result = run(
-        sizes_gb=sizes, seed=args.seed, validate=args.validate, pct=args.pct
-    )
-    print(format_report(result))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -19,13 +19,13 @@ and the repair traffic Hadoop paid (bytes re-replicated / input bytes)
 — the price of durability the paper's MPI-D does not pay and the
 protection it therefore does not get.
 
-Run: ``python -m repro.experiments.durability [--gb N] [--seeds a,b]
-[--rates r1,r2,...] [--replications 1,2,3] [--trace-out FILE]``
+Run: ``python -m repro durability [--input-gb N] [--seeds a,b]
+[--rates-per-hour r1,r2,...] [--replications 1,2,3] [--quick]``;
+``python -m repro trace durability`` records one disk-churned run observed.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -36,6 +36,7 @@ from repro.experiments.fault_tolerance import classify_failure
 from repro.experiments.reporting import Table, banner
 from repro.hadoop import (
     HadoopConfig,
+    HadoopSimulation,
     JobFailedError,
     JobSpec,
     WORDCOUNT_PROFILE,
@@ -316,28 +317,21 @@ def format_report(result: DurabilityResult) -> str:
     return "\n\n".join(sections)
 
 
-def write_traced_run(
-    trace_out,
+def observed_run(
+    attach,
     input_gb: float = 1.0,
     seed: int = 2011,
     rate_per_hour: float = 8.0,
     replication: int = 3,
     repair_bandwidth_cap: float = 10 * MiB,
 ):
-    """One observed disk-churned Hadoop run; writes trace + manifest.
+    """One observed disk-churned Hadoop run: process ``hadoop-durability``.
 
     The trace shows the ``hdfs.repair`` flows on their own track next to
     the map/shuffle work they contend with, the ``hdfs.read.failover``
     instants where readers skipped dead replicas, and (at harsher rates)
     ``hdfs.block.lost`` — the durability story of one run, in Perfetto.
     """
-    import time as _time
-
-    from pathlib import Path
-
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
     workers = tuple(range(1, ClusterSpec().num_nodes))
     sim = HadoopSimulation(
         spec=_spec(input_gb),
@@ -351,95 +345,14 @@ def write_traced_run(
         fault_plan=_plan(rate_per_hour, workers, seed),
         observe=True,
     )
-    t0 = _time.perf_counter()
+    attach("hadoop-durability", sim.obs)
     try:
         metrics = sim.run()
     except JobFailedError as err:
         metrics = err.metrics
-    observers = [(f"hadoop-durability-{input_gb:g}g", sim.obs)]
-    manifest = build_manifest(
-        experiment="durability",
-        config={
-            "input_gb": input_gb,
-            "rate_per_hour": rate_per_hour,
-            "replication": replication,
-            "repair_bandwidth_cap": repair_bandwidth_cap,
-        },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
-    )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=float, default=4.0, help="WordCount input size")
-    parser.add_argument(
-        "--seeds",
-        type=str,
-        default=None,
-        help="comma-separated fault/placement seeds (default 2011,2012,2013)",
-    )
-    parser.add_argument(
-        "--rates",
-        type=str,
-        default=None,
-        help="comma-separated disk-failure rates per node-hour",
-    )
-    parser.add_argument(
-        "--replications",
-        type=str,
-        default=None,
-        help="comma-separated dfs.replication values to sweep (default 1,2,3)",
-    )
-    parser.add_argument(
-        "--repair-cap-mib",
-        type=float,
-        default=10.0,
-        help="HDFS repair bandwidth cap per stream, MiB/s",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run one traced disk-churned 1 GB job; write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    rates = _parse_floats(args.rates) if args.rates else DEFAULT_RATES
-    replications = (
-        tuple(int(t) for t in args.replications.split(",") if t.strip())
-        if args.replications
-        else DEFAULT_REPLICATIONS
-    )
-    print(
-        format_report(
-            run(
-                input_gb=args.gb,
-                seeds=seeds,
-                rates_per_hour=rates,
-                replications=replications,
-                repair_bandwidth_cap=args.repair_cap_mib * MiB,
-            )
-        )
-    )
-    if args.trace_out is not None:
-        write_traced_run(args.trace_out)
-        print(f"\nwrote {args.trace_out} (+ {args.trace_out}.manifest.json)")
-    return 0
+    return [("hadoop-durability", sim.obs)], {"hadoop-durability": metrics.elapsed}
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -1,69 +1,34 @@
-"""Export experiment results as CSV/JSON files for external plotting.
+"""CSV/JSON shapes of experiment results, for external plotting.
 
-``python -m repro.experiments.export --out results/`` writes one CSV per
-figure/table with exactly the series the plots need (a column per curve,
-a row per x value), so any plotting stack — gnuplot, matplotlib,
-spreadsheets — can regenerate the paper's graphics from this repo's
-numbers without rerunning the simulations.
+Each function here takes one experiment's result and returns either a
+CSV table ``(header, rows)`` — exactly the series a plot needs, a column
+per curve and a row per x value — or a JSON-ready dict.  Which files an
+experiment writes is listed in :mod:`repro.experiments.registry`;
+``python -m repro <name> --out results/`` (or ``python -m repro all
+--quick --out results/``) writes them, so any plotting stack can
+regenerate the paper's graphics from this repo's numbers without
+rerunning the simulations.
 
-Two JSON exports ride along: ``fig6_wordcount.json`` and
-``fault_tolerance.json`` carry the *full* per-task phase records
-(``JobMetrics.to_dict()`` — the machine-readable job history), which the
-CSVs' aggregate rows deliberately drop.
+Six JSON exports ride along with the CSVs: ``fig6_wordcount``,
+``fault_tolerance``, ``network_faults``, ``durability``,
+``critical_path`` and ``multi_tenant``.  The first two carry the *full*
+per-task phase records (``JobMetrics.to_dict()`` — the machine-readable
+job history), which the CSVs' aggregate rows deliberately drop.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
-import json
 import math
-from functools import lru_cache
-from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.experiments import critical_path as critical_path_exp
-from repro.experiments import durability, fault_tolerance, fig1_shuffle
-from repro.experiments import fig2_latency, fig3_bandwidth, fig6_wordcount
-from repro.experiments import multi_tenant, network_faults, table1_copy_pct
 from repro.obs.analysis import STAGES
 from repro.util.units import GiB
 
 
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-@lru_cache(maxsize=1)
-def _default_fig6():
-    """One shared default fig6 run (CSV and JSON exporters both use it)."""
-    return fig6_wordcount.run()
-
-
-@lru_cache(maxsize=1)
-def _default_fault():
-    """One shared default fault sweep, with per-task records retained."""
-    return fault_tolerance.run(input_gb=4, seeds=(2011,), keep_task_records=True)
-
-
-@lru_cache(maxsize=1)
-def _default_netfault():
-    """One shared default lossy-network sweep (small, so exports stay quick)."""
-    return network_faults.run(
-        input_gb=1.0,
-        seeds=(2011, 2012),
-        rates_per_link_hour=(120.0, 900.0, 1800.0),
-        partition_durations=(5.0, 15.0),
-    )
-
-
-def fig1_csv(metrics=None, input_bytes: int = 16 * GiB) -> tuple[list[str], list[list]]:
+def fig1_csv(m) -> tuple[list[str], list[list]]:
     """Per-reducer copy/sort/reduce rows (Figure 1's scatter data)."""
-    m = metrics or fig1_shuffle.run(input_bytes=input_bytes)
     header = ["reducer_id", "copy_s", "sort_s", "reduce_s"]
     rows = [
         [r.task_id, r.copy_time, r.sort_time, r.reduce_time]
@@ -72,39 +37,34 @@ def fig1_csv(metrics=None, input_bytes: int = 16 * GiB) -> tuple[list[str], list
     return header, rows
 
 
-def fig2_csv(result=None) -> tuple[list[str], list[list]]:
-    r = result or fig2_latency.run()
+def fig2_csv(r) -> tuple[list[str], list[list]]:
     header = ["size_bytes", "hadoop_rpc_s", "mpich2_s", "ratio"]
     rows = [[n, r.rpc[n], r.mpich[n], r.ratio(n)] for n in r.sizes]
     return header, rows
 
 
-def fig3_csv(result=None) -> tuple[list[str], list[list]]:
-    r = result or fig3_bandwidth.run(include_nio=True)
+def fig3_csv(r) -> tuple[list[str], list[list]]:
     names = list(r.series)
     header = ["packet_bytes"] + [n.replace("/", "_").replace(" ", "_") for n in names]
     rows = [[p] + [r.series[n][p] for n in names] for p in r.packets]
     return header, rows
 
 
-def table1_csv(result=None) -> tuple[list[str], list[list]]:
-    r = result or table1_copy_pct.run()
+def table1_csv(r) -> tuple[list[str], list[list]]:
     configs = list(next(iter(r.cells.values())))
     header = ["input_gb"] + [c.replace("/", "_") for c in configs]
     rows = [[gb] + [r.cells[gb][c] for c in configs] for gb in r.sizes_gb]
     return header, rows
 
 
-def fig6_csv(result=None) -> tuple[list[str], list[list]]:
-    r = result or _default_fig6()
+def fig6_csv(r) -> tuple[list[str], list[list]]:
     header = ["input_gb", "hadoop_s", "mpid_s", "ratio"]
     rows = [[gb, r.hadoop[gb], r.mpid[gb], r.ratio(gb)] for gb in r.sizes_gb]
     return header, rows
 
 
-def fig6_json(result=None) -> dict:
+def fig6_json(r) -> dict:
     """Full per-task phase records for every Figure-6 size."""
-    r = result or _default_fig6()
     return {
         "experiment": "fig6_wordcount",
         "sizes_gb": list(r.sizes_gb),
@@ -113,15 +73,12 @@ def fig6_json(result=None) -> dict:
     }
 
 
-def fault_tolerance_csv(result=None) -> tuple[list[str], list[list]]:
+def fault_tolerance_csv(r) -> tuple[list[str], list[list]]:
     """Failure-rate sweep rows (the fault-tolerance crossover data).
 
-    The default export uses a small sweep (one seed, 4 GB) so
-    ``export_all`` stays quick; run the experiment module directly for
-    the full-resolution table.  Runs that never finished export an empty
-    elapsed cell rather than ``inf``.
+    Runs that never finished export an empty elapsed cell rather than
+    ``inf``.
     """
-    r = result or _default_fault()
 
     def cell(x: float):
         return "" if math.isinf(x) else x
@@ -173,9 +130,8 @@ def fault_tolerance_csv(result=None) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def fault_tolerance_json(result=None) -> dict:
+def fault_tolerance_json(r) -> dict:
     """Per-seed job histories of the fault sweep (rate 0.0 = clean)."""
-    r = result or _default_fault()
     return {
         "experiment": "fault_tolerance",
         "input_gb": r.input_gb,
@@ -194,12 +150,11 @@ def fault_tolerance_json(result=None) -> dict:
     }
 
 
-def network_faults_csv(result=None) -> tuple[list[str], list[list]]:
+def network_faults_csv(r) -> tuple[list[str], list[list]]:
     """Loss-rate sweep rows (the lossy-network degradation curves).
 
     DNF runs export an empty elapsed cell rather than ``inf``; the
     partition sweep lives in the JSON export (different x-axis)."""
-    r = result or _default_netfault()
 
     def cell(x: float):
         return "" if math.isinf(x) else x
@@ -240,9 +195,8 @@ def network_faults_csv(result=None) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def network_faults_json(result=None) -> dict:
+def network_faults_json(r) -> dict:
     """Both sweeps (loss rate + partition duration) with the crossover."""
-    r = result or _default_netfault()
 
     def clean(x: float):
         return None if math.isinf(x) else x
@@ -282,27 +236,11 @@ def network_faults_json(result=None) -> dict:
     }
 
 
-@lru_cache(maxsize=1)
-def _default_durability():
-    """One shared small durability sweep (1 GB, one seed, two rates).
-
-    Replication 2 is where this seed shows the crossover: Hadoop repairs
-    through rates whose very first relevant disk death permanently DNFs
-    MPI-D."""
-    return durability.run(
-        input_gb=1.0,
-        seeds=(2011,),
-        rates_per_hour=(30.0, 120.0),
-        replications=(1, 2, 3),
-    )
-
-
-def durability_csv(result=None) -> tuple[list[str], list[list]]:
+def durability_csv(r) -> tuple[list[str], list[list]]:
     """Replication x disk-failure-rate rows (the durability crossover).
 
     One row per (replication, rate) cell; runs where no seed finished
     export an empty elapsed cell rather than ``inf``."""
-    r = result or _default_durability()
 
     def cell(x: float):
         return "" if math.isinf(x) else x
@@ -358,9 +296,8 @@ def durability_csv(result=None) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def durability_json(result=None) -> dict:
+def durability_json(r) -> dict:
     """The full durability sweep with per-cell records and crossovers."""
-    r = result or _default_durability()
 
     def clean(x: float):
         return None if math.isinf(x) else x
@@ -403,39 +340,9 @@ def durability_json(result=None) -> dict:
     }
 
 
-@lru_cache(maxsize=1)
-def _default_tenants():
-    """One shared small multi-tenant sweep (fair policy, 1x vs 2x load,
-    clean vs chaos, short horizon) so exports stay quick."""
-    return multi_tenant.run(
-        loads=(1.0, 2.0),
-        policies=("fair",),
-        seeds=(2011,),
-        horizon=600.0,
-        chaos=(False, True),
-    )
-
-
-def multi_tenant_csv(result=None) -> tuple[list[str], list[list]]:
-    """Per-(cell, seed, tenant) SLO rows of the multi-tenant sweep."""
-    return multi_tenant.to_rows(result or _default_tenants())
-
-
-def multi_tenant_json(result=None) -> dict:
-    """The full per-cell engine reports of the multi-tenant sweep."""
-    return multi_tenant.to_json(result or _default_tenants())
-
-
-@lru_cache(maxsize=1)
-def _default_critical_path():
-    """One shared small blame sweep (kept small so exports stay quick)."""
-    return critical_path_exp.run(sizes_gb=(1.0, 4.0))
-
-
-def critical_path_csv(result=None) -> tuple[list[str], list[list]]:
+def critical_path_csv(r) -> tuple[list[str], list[list]]:
     """Per-size ``hadoop.phase`` blame rows: causal critical-path share
     per stage plus the Table-I counter share (spans vs JobMetrics)."""
-    r = result or _default_critical_path()
     header = (
         ["input_gb", "makespan_s"]
         + [f"{stage}_blame_pct" for stage in STAGES]
@@ -454,9 +361,8 @@ def critical_path_csv(result=None) -> tuple[list[str], list[list]]:
     return header, rows
 
 
-def critical_path_json(result=None) -> dict:
+def critical_path_json(r) -> dict:
     """The same blame sweep with the cross-check deltas spelled out."""
-    r = result or _default_critical_path()
     return {
         "experiment": "critical_path",
         "seed": r.seed,
@@ -486,78 +392,10 @@ def obs_metrics_json(observer) -> dict:
     return observer.metrics.to_dict()
 
 
-EXPORTS = {
-    "fig1_shuffle.csv": fig1_csv,
-    "fig2_latency.csv": fig2_csv,
-    "fig3_bandwidth.csv": fig3_csv,
-    "table1_copy_pct.csv": table1_csv,
-    "fig6_wordcount.csv": fig6_csv,
-    "fault_tolerance.csv": fault_tolerance_csv,
-    "network_faults.csv": network_faults_csv,
-    "durability.csv": durability_csv,
-    "critical_path.csv": critical_path_csv,
-    "multi_tenant.csv": multi_tenant_csv,
-}
-
-JSON_EXPORTS = {
-    "fig6_wordcount.json": fig6_json,
-    "fault_tolerance.json": fault_tolerance_json,
-    "network_faults.json": network_faults_json,
-    "durability.json": durability_json,
-    "critical_path.json": critical_path_json,
-    "multi_tenant.json": multi_tenant_json,
-}
-
-
-def export_all(out_dir: Path, only: Optional[set] = None) -> list[Path]:
-    """Run every exporter (or just the ``only`` set); returns the paths."""
-    known = set(EXPORTS) | set(JSON_EXPORTS)
-    if only is not None and (unknown := only - known):
-        raise ValueError(
-            f"unknown exports {sorted(unknown)}; choose from {sorted(known)}"
-        )
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for filename, maker in EXPORTS.items():
-        if only is not None and filename not in only:
-            continue
-        header, rows = maker()
-        path = out_dir / filename
-        _write_csv(path, header, rows)
-        written.append(path)
-    for filename, maker in JSON_EXPORTS.items():
-        if only is not None and filename not in only:
-            continue
-        path = out_dir / filename
-        with path.open("w") as fh:
-            json.dump(maker(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        written.append(path)
-    return written
-
-
 def render_csv(header: Sequence[str], rows: Sequence[Sequence]) -> str:
-    """CSV text without touching the filesystem (for tests/embedding)."""
+    """CSV text of one table; every ``.csv`` export is written from it."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", type=Path, default=Path("results"))
-    parser.add_argument(
-        "--only", nargs="+", default=None, metavar="FILE",
-        help="export just these files (e.g. fig6_wordcount.csv) "
-        "instead of everything",
-    )
-    args = parser.parse_args(argv)
-    for path in export_all(args.out, only=set(args.only) if args.only else None):
-        print(f"wrote {path}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -20,13 +20,14 @@ longer than these whole jobs; like any sane operator of short jobs we
 lower it (default 60 s) so detection isn't the entire story, and say so
 in the report.
 
-Run: ``python -m repro.experiments.fault_tolerance [--gb N] [--seeds a,b]
-[--rates r1,r2,...] [--checkpoint SECS] [--full]``
+Run: ``python -m repro fault [--input-gb N] [--seeds a,b]
+[--rates-per-hour r1,r2,...] [--checkpoint-interval SECS] [--quick|--full]``;
+``python -m repro trace fault --size 1GB --rate 40`` records one churned
+run observed.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 import re
 from dataclasses import dataclass, field
@@ -37,6 +38,7 @@ import numpy as np
 from repro.experiments.reporting import Table, banner
 from repro.hadoop import (
     HadoopConfig,
+    HadoopSimulation,
     JobFailedError,
     JobSpec,
     WORDCOUNT_PROFILE,
@@ -45,11 +47,10 @@ from repro.hadoop import (
 from repro.mrmpi import MrMpiConfig, run_mpid_job, run_mpid_job_under_faults
 from repro.simnet.cluster import ClusterSpec
 from repro.simnet.faults import CrashRate, FaultPlan
-from repro.util.units import GiB
+from repro.util.units import GiB, fmt_bytes
 
 #: Per-node crash rates, in crashes per node-hour.
 DEFAULT_RATES = (2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0)
-FULL_RATES = (1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 80.0, 160.0, 320.0)
 DEFAULT_SEEDS = (2011, 2012, 2013)
 
 
@@ -333,130 +334,45 @@ def format_report(result: FaultToleranceResult) -> str:
     )
 
 
-def write_traced_run(
-    trace_out,
-    input_gb: int = 1,
-    seed: int = 2011,
-    rate_per_hour: float = 40.0,
-    restart_after: float = 30.0,
-    expiry_interval: float = 60.0,
-):
-    """One observed faulted Hadoop run; writes trace + manifest sidecar.
+def observed_run(attach, size: int = GiB, seed: int = 2011, rate: float = 40.0):
+    """One observed Hadoop WordCount under ``rate`` crashes/node-hour.
 
-    The trace shows the fault instants, the killed task attempts
-    (aborted spans) and the re-executions — the recovery story of one
-    churned run, loadable in Perfetto.
+    Process ``hadoop-faulted``.  The trace shows the fault instants, the
+    killed task attempts (aborted spans) and the re-executions — the
+    recovery story of one churned run, loadable in Perfetto.
     """
-    import time as _time
-
-    from pathlib import Path
-
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
     plan = FaultPlan(
         specs=(
             CrashRate(
-                rate=rate_per_hour / 3600.0,
+                rate=rate / 3600.0,
                 nodes=tuple(range(1, ClusterSpec().num_nodes)),
-                restart_after=restart_after,
+                restart_after=30.0,
             ),
         ),
         seed=seed,
     )
     sim = HadoopSimulation(
-        spec=_spec(input_gb),
+        spec=JobSpec(
+            name=f"wordcount-{fmt_bytes(size)}",
+            input_bytes=size,
+            profile=WORDCOUNT_PROFILE,
+            num_reduce_tasks=1,
+        ),
         config=HadoopConfig(
-            map_slots=7, reduce_slots=7, tasktracker_expiry_interval=expiry_interval
+            map_slots=7, reduce_slots=7, tasktracker_expiry_interval=60.0
         ),
         seed=seed,
         fault_plan=plan,
         observe=True,
     )
-    t0 = _time.perf_counter()
+    attach("hadoop-faulted", sim.obs)
     try:
         metrics = sim.run()
     except JobFailedError as err:
         metrics = err.metrics
-    observers = [(f"hadoop-faulted-{input_gb}g", sim.obs)]
-    manifest = build_manifest(
-        experiment="fault_tolerance",
-        config={
-            "input_gb": input_gb,
-            "rate_per_hour": rate_per_hour,
-            "restart_after": restart_after,
-            "expiry_interval": expiry_interval,
-        },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
-    )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=10, help="WordCount input size")
-    parser.add_argument(
-        "--seeds",
-        type=str,
-        default=None,
-        help="comma-separated fault/placement seeds (default 2011,2012,2013)",
-    )
-    parser.add_argument(
-        "--rates",
-        type=str,
-        default=None,
-        help="comma-separated crash rates per node-hour",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        type=float,
-        default=None,
-        help="enable MPI-D checkpointing with this progress interval (s)",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="wider rate sweep (slower)"
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run one traced faulted 1 GB job; write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    rates = (
-        _parse_floats(args.rates)
-        if args.rates
-        else (FULL_RATES if args.full else DEFAULT_RATES)
-    )
-    print(
-        format_report(
-            run(
-                input_gb=args.gb,
-                seeds=seeds,
-                rates_per_hour=rates,
-                checkpoint_interval=args.checkpoint,
-            )
-        )
-    )
-    if args.trace_out is not None:
-        write_traced_run(args.trace_out)
-        print(f"\nwrote {args.trace_out} (+ {args.trace_out}.manifest.json)")
-    return 0
+    return [("hadoop-faulted", sim.obs)], {"hadoop-faulted": metrics.elapsed}
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

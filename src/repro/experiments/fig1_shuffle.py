@@ -6,19 +6,19 @@ default here is a 16 GB scale model (same wave structure, ~2 s of wall
 time); ``--full`` runs the paper's 150 GB (about half a minute of wall
 time, ~2400 reducers).
 
-Run: ``python -m repro.experiments.fig1_shuffle [--full]``
+Run: ``python -m repro fig1 [--full] [--input-bytes 4GB]``;
+``python -m repro trace fig1 --size 1GB`` runs it observed.
 """
 
 from __future__ import annotations
-
-import argparse
 
 import numpy as np
 
 from repro.experiments import paper
 from repro.experiments.reporting import Table, banner, compare_to_paper
 from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec, run_hadoop_job
-from repro.util.units import GiB
+from repro.hadoop.simulation import HadoopSimulation
+from repro.util.units import GiB, fmt_bytes
 
 
 def run(input_bytes: int = 16 * GiB, seed: int = 2011) -> JobMetrics:
@@ -31,17 +31,11 @@ def run(input_bytes: int = 16 * GiB, seed: int = 2011) -> JobMetrics:
     return run_hadoop_job(spec, config=HadoopConfig(map_slots=8, reduce_slots=8), seed=seed)
 
 
-def write_traced_run(trace_out, input_bytes: int = 16 * GiB, seed: int = 2011) -> JobMetrics:
-    """One observed JavaSort run; writes trace + manifest sidecar."""
-    import time
-    from pathlib import Path
-
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
+def observed_run(attach, size: int = GiB, seed: int = 2011):
+    """One observed JavaSort of ``size`` bytes: process ``hadoop``."""
     spec = JobSpec(
-        name=f"javasort-{input_bytes // GiB}g",
-        input_bytes=input_bytes,
+        name=f"javasort-{fmt_bytes(size)}",
+        input_bytes=size,
         profile=JAVASORT_PROFILE,
     )
     sim = HadoopSimulation(
@@ -50,20 +44,9 @@ def write_traced_run(trace_out, input_bytes: int = 16 * GiB, seed: int = 2011) -
         seed=seed,
         observe=True,
     )
-    t0 = time.perf_counter()
+    attach("hadoop", sim.obs)
     metrics = sim.run()
-    observers = [(spec.name, sim.obs)]
-    manifest = build_manifest(
-        experiment="fig1_shuffle",
-        config={"input_bytes": input_bytes, "seed": seed},
-        seed=seed,
-        observers=observers,
-        wall_seconds=time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
-    )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
+    return [("hadoop", sim.obs)], {"hadoop": metrics.elapsed}
 
 
 def format_report(metrics: JobMetrics, show_reducers: int = 12) -> str:
@@ -116,26 +99,6 @@ def format_report(metrics: JobMetrics, show_reducers: int = 12) -> str:
     return "\n\n".join(blocks)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="run the paper's 150 GB input"
-    )
-    parser.add_argument("--gb", type=int, default=None, help="input size in GiB")
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run once observed; write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    gb = 150 if args.full else (args.gb or 16)
-    print(format_report(run(input_bytes=gb * GiB)))
-    if args.trace_out is not None:
-        write_traced_run(args.trace_out, input_bytes=gb * GiB)
-        print(f"\nwrote {args.trace_out} (+ {args.trace_out}.manifest.json)")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

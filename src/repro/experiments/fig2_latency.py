@@ -4,12 +4,11 @@ Reproduces the methodology of Section II-B: 100 ping-pong trials per
 size, latency = round-trip / 2, first 5 JVM trials dropped.  Panel (a)
 covers 1 B - 1 KB, (b) 1 KB - 1 MB, (c) 1 MB - 64 MB, as in the paper.
 
-Run: ``python -m repro.experiments.fig2_latency``
+Run: ``python -m repro fig2 [--trials N]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments import paper
@@ -84,14 +83,6 @@ def format_report(result: Fig2Result) -> str:
     return "\n\n".join(blocks)
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=20110913)
-    args = parser.parse_args(argv)
-    print(format_report(run(trials=args.trials, seed=args.seed)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

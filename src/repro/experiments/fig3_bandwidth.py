@@ -2,14 +2,14 @@
 
 Three transports as in the paper (Hadoop RPC, HTTP over Jetty, MPICH2),
 plus the Socket-over-NIO model the paper's future-work item (1) asks
-for, as an optional fourth series (``--nio``).
+for, as an optional fourth series (``--include-nio``; ``--quick`` and
+the export include it).
 
-Run: ``python -m repro.experiments.fig3_bandwidth``
+Run: ``python -m repro fig3 [--include-nio] [--no-jitter]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments import paper
@@ -104,19 +104,6 @@ def format_report(result: Fig3Result) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--nio", action="store_true", help="add the Socket/NIO series")
-    parser.add_argument("--no-jitter", action="store_true")
-    parser.add_argument("--seed", type=int, default=20110913)
-    args = parser.parse_args(argv)
-    print(
-        format_report(
-            run(include_nio=args.nio, jitter=not args.no_jitter, seed=args.seed)
-        )
-    )
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -5,18 +5,14 @@ map/reduce slots on Hadoop; on the MPI-D side 49 mapper processes, 1
 reducer, 1 master.  Input from 1 GB to 100 GB.  The headline: MPI-D
 reduces execution time to 8% / 48% / 56% of Hadoop at 1 / 10 / 100 GB.
 
-Run: ``python -m repro.experiments.fig6_wordcount [--full]
-[--trace-out trace.json]`` — the latter re-runs the smallest size with
-the observer attached and writes a Perfetto-loadable trace plus a
-``<trace-out>.manifest.json`` sidecar.
+Run: ``python -m repro fig6 [--full] [--sizes-gb 1,4]``.
+``python -m repro trace fig6 --size 1GB`` runs one size observed
+(:func:`observed_run`) and writes a Perfetto-loadable trace.
 """
 
 from __future__ import annotations
 
-import argparse
-import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.experiments import paper
 from repro.experiments.reporting import Table, banner, compare_to_paper
@@ -24,11 +20,9 @@ from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE
 from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import MrMpiConfig
 from repro.mrmpi.simulator import MrMpiSimulation
-from repro.obs import build_manifest, write_trace
-from repro.util.units import GiB
+from repro.util.units import GiB, fmt_bytes
 
 DEFAULT_SIZES_GB = (1, 4, 10)
-FULL_SIZES_GB = (1, 10, 100)
 
 
 @dataclass
@@ -42,8 +36,6 @@ class Fig6Result:
     #: ``MrMpiMetrics.to_dict()``) per size — the JSON export's payload.
     hadoop_metrics: dict[int, dict] = field(default_factory=dict)
     mpid_metrics: dict[int, dict] = field(default_factory=dict)
-    #: ``[(name, Observer), ...]`` when the run was observed, else empty.
-    traces: list = field(default_factory=list)
 
     def ratio(self, gb: int) -> float:
         return self.mpid[gb] / self.hadoop[gb]
@@ -61,26 +53,47 @@ def _spec(gb: int) -> JobSpec:
 def run(
     sizes_gb: tuple[int, ...] = DEFAULT_SIZES_GB,
     seed: int = 2011,
-    observe: bool = False,
 ) -> Fig6Result:
     hadoop_cfg = HadoopConfig(map_slots=7, reduce_slots=7)
     mpid_cfg = MrMpiConfig(num_mappers=49, num_reducers=1)
     result = Fig6Result(sizes_gb=tuple(sizes_gb))
     for gb in sizes_gb:
-        hsim = HadoopSimulation(
-            spec=_spec(gb), config=hadoop_cfg, seed=seed, observe=observe
-        )
-        hm = hsim.run()
+        hm = HadoopSimulation(spec=_spec(gb), config=hadoop_cfg, seed=seed).run()
         result.hadoop[gb] = hm.elapsed
         result.hadoop_metrics[gb] = hm.to_dict()
-        msim = MrMpiSimulation(spec=_spec(gb), config=mpid_cfg, observe=observe)
-        mm = msim.run()
+        mm = MrMpiSimulation(spec=_spec(gb), config=mpid_cfg).run()
         result.mpid[gb] = mm.elapsed
         result.mpid_metrics[gb] = mm.to_dict()
-        if observe:
-            result.traces.append((f"hadoop-{gb}g", hsim.obs))
-            result.traces.append((f"mpid-{gb}g", msim.obs))
     return result
+
+
+def observed_run(attach, size: int = GiB, seed: int = 2011):
+    """One observed WordCount of ``size`` bytes on both systems.
+
+    The registry's observed-run function for ``repro trace fig6`` and
+    ``repro replay fig6``: processes ``hadoop`` and ``mpid``.
+    """
+    spec = JobSpec(
+        name=f"wordcount-{fmt_bytes(size)}",
+        input_bytes=size,
+        profile=WORDCOUNT_PROFILE,
+        num_reduce_tasks=1,
+    )
+    hsim = HadoopSimulation(
+        spec=spec,
+        config=HadoopConfig(map_slots=7, reduce_slots=7),
+        seed=seed,
+        observe=True,
+    )
+    attach("hadoop", hsim.obs)
+    hm = hsim.run()
+    msim = MrMpiSimulation(
+        spec=spec, config=MrMpiConfig(num_mappers=49, num_reducers=1), observe=True
+    )
+    attach("mpid", msim.obs)
+    mm = msim.run()
+    observers = [("hadoop", hsim.obs), ("mpid", msim.obs)]
+    return observers, {"hadoop": hm.elapsed, "mpid": mm.elapsed}
 
 
 def format_report(result: Fig6Result) -> str:
@@ -124,45 +137,6 @@ def format_report(result: Fig6Result) -> str:
     )
 
 
-def write_traced_run(
-    trace_out: Path, sizes_gb: tuple[int, ...], seed: int = 2011
-) -> Fig6Result:
-    """One observed run of the smallest size; writes trace + manifest."""
-    gb = min(sizes_gb)
-    t0 = time.perf_counter()
-    result = run(sizes_gb=(gb,), seed=seed, observe=True)
-    manifest = build_manifest(
-        experiment="fig6_wordcount",
-        config={"sizes_gb": [gb], "seed": seed},
-        seed=seed,
-        observers=result.traces,
-        wall_seconds=time.perf_counter() - t0,
-        sim_elapsed={"hadoop": result.hadoop[gb], "mpid": result.mpid[gb]},
-    )
-    write_trace(result.traces, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return result
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="run the paper's 1/10/100 GB points"
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=Path,
-        default=None,
-        help="also run the smallest size observed; write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    sizes = FULL_SIZES_GB if args.full else DEFAULT_SIZES_GB
-    print(format_report(run(sizes_gb=sizes)))
-    if args.trace_out is not None:
-        write_traced_run(args.trace_out, sizes)
-        print(f"\nwrote {args.trace_out} (+ {args.trace_out}.manifest.json)")
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

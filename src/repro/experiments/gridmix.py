@@ -6,12 +6,11 @@ a fixed input size on both the simulated Hadoop and the MPI-D system,
 reporting per-workload times and ratios — the generalization check a
 reviewer would ask for.
 
-Run: ``python -m repro.experiments.gridmix``
+Run: ``python -m repro gridmix [--input-gb N]``
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass, field
 
@@ -82,13 +81,6 @@ def format_report(result: GridmixResult) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=4)
-    args = parser.parse_args(argv)
-    print(format_report(run(input_gb=args.gb)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -14,12 +14,11 @@ so once MPI-grade communication is in place, GigE already keeps up.
 The fabric that matters is the one Hadoop RPC *wastes*; after MPI-D,
 future-work item (4) buys headroom, not speedup, at this scale.
 
-Run: ``python -m repro.experiments.interconnect_whatif``
+Run: ``python -m repro interconnect_whatif [--input-gb N]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field, replace
 
 from repro.experiments.reporting import Table, banner
@@ -107,13 +106,6 @@ def format_report(result: WhatIfResult) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=8)
-    args = parser.parse_args(argv)
-    print(format_report(run(input_gb=args.gb)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

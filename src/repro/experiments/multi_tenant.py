@@ -20,16 +20,17 @@ climbs past capacity:
 
 Per (load, policy, chaos, seed) cell the engine reports per-tenant SLOs:
 p50/p95/p99 job latency and queue wait, shed/failed/preempted counts,
-and slot-second utilization.  ``--trace-out`` additionally records one
-fully observed chaos-under-load run for the replay dashboard.
+and slot-second utilization.
+
+Run: ``python -m repro tenants [--quick] [--loads 0.5,1] [--policies fair]
+[--seeds a,b] [--horizon S] [--chaos false] [--out DIR]``;
+``python -m repro trace tenants`` records one fully observed
+chaos-under-load run for the replay dashboard.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.cluster import (
     MultiTenantEngine,
@@ -125,11 +126,11 @@ class MultiTenantResult:
 
 
 def run(
-    loads=DEFAULT_LOADS,
-    policies=DEFAULT_POLICIES,
-    seeds=DEFAULT_SEEDS,
+    loads: tuple[float, ...] = DEFAULT_LOADS,
+    policies: tuple[str, ...] = DEFAULT_POLICIES,
+    seeds: tuple[int, ...] = DEFAULT_SEEDS,
     horizon: float = DEFAULT_HORIZON,
-    chaos=(False, True),
+    chaos: tuple[bool, ...] = (False, True),
 ) -> MultiTenantResult:
     """Execute the whole sweep (pure function of its arguments)."""
     result = MultiTenantResult(
@@ -291,41 +292,20 @@ def format_report(result: MultiTenantResult) -> str:
     return "\n\n".join(sections)
 
 
-def export(result: MultiTenantResult, out_dir: Path) -> list[Path]:
-    """Write the CSV + JSON artifacts into ``out_dir``."""
-    import csv
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "multi_tenant.csv"
-    header, rows = to_rows(result)
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    json_path = out_dir / "multi_tenant.json"
-    with json_path.open("w") as fh:
-        json.dump(to_json(result), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [csv_path, json_path]
-
-
-def write_traced_run(
-    trace_out,
+def observed_run(
+    attach,
     load: float = 2.0,
     policy: str = "fair",
     seed: int = 2011,
     horizon: float = 900.0,
 ):
-    """One fully observed chaos-under-load run; writes trace + manifest.
+    """One fully observed chaos-under-load run: process
+    ``tenants-<load>x-<policy>``.
 
     The trace shows every tenant's queue/dispatch/preempt spans on their
     own tracks next to the per-job map/shuffle work — the whole cluster's
     story under overload and faults, in Perfetto or the dashboard.
     """
-    import time as _time
-
-    from repro.obs import build_manifest, write_trace
-
     engine = MultiTenantEngine(
         make_tenants(load),
         scheduler=SchedulerConfig(policy=policy),
@@ -336,107 +316,13 @@ def write_traced_run(
         horizon=horizon,
         observe=True,
     )
-    t0 = _time.perf_counter()
+    engine.setup()
+    name = f"tenants-{load:g}x-{policy}"
+    attach(name, engine.sim.obs)
     report = engine.run()
-    observers = [(f"tenants-{load:g}x-{policy}", engine.sim.obs)]
-    manifest = build_manifest(
-        experiment="multi_tenant",
-        config={
-            "load": load,
-            "policy": policy,
-            "horizon": horizon,
-            "chaos": True,
-        },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"makespan": report["makespan"]},
-    )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return report
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--seeds",
-        type=str,
-        default=None,
-        help="comma-separated arrival/placement seeds (default 2011,2012,2013)",
-    )
-    parser.add_argument(
-        "--loads",
-        type=str,
-        default=None,
-        help="comma-separated offered-load multipliers (default 0.5,1,2)",
-    )
-    parser.add_argument(
-        "--policies",
-        type=str,
-        default=None,
-        help="comma-separated scheduler policies (default fair,capacity,fifo)",
-    )
-    parser.add_argument(
-        "--horizon", type=float, default=DEFAULT_HORIZON,
-        help="arrival horizon, simulated seconds",
-    )
-    parser.add_argument(
-        "--no-chaos", action="store_true",
-        help="skip the fault-plan overlay cells",
-    )
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="one seed, loads 1x/2x, fair only, short horizon (CI smoke)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write multi_tenant.csv / multi_tenant.json here",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also record one observed 2x-overload chaos run; "
-        "write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    loads = _parse_floats(args.loads) if args.loads else DEFAULT_LOADS
-    policies = (
-        tuple(t.strip() for t in args.policies.split(",") if t.strip())
-        if args.policies
-        else DEFAULT_POLICIES
-    )
-    horizon = args.horizon
-    chaos = (False,) if args.no_chaos else (False, True)
-    if args.quick:
-        seeds = seeds[:1]
-        loads = (1.0, 2.0)
-        policies = ("fair",)
-        horizon = min(horizon, 600.0)
-        chaos = (False, True) if not args.no_chaos else (False,)
-    result = run(
-        loads=loads, policies=policies, seeds=seeds, horizon=horizon,
-        chaos=chaos,
-    )
-    print(format_report(result))
-    if args.out is not None:
-        for path in export(result, args.out):
-            print(f"wrote {path}")
-    if args.trace_out is not None:
-        write_traced_run(args.trace_out)
-        print(f"wrote {args.trace_out} (+ {args.trace_out}.manifest.json)")
-    return 0
+    return [(name, engine.sim.obs)], {name: report["makespan"]}
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -16,13 +16,13 @@ instead, showing how much of the gap is the *transport contract* rather
 than the programming model.  The report finds the **crossover loss
 rate** where Hadoop's mean time dips below baseline MPI-D's.
 
-Run: ``python -m repro.experiments.network_faults [--gb N]
-[--seeds a,b] [--rates r1,r2,...] [--partitions d1,d2,...] [--full]``
+Run: ``python -m repro network_faults [--input-gb N] [--seeds a,b]
+[--rates-per-link-hour r1,r2,...] [--partition-durations d1,d2,...]
+[--quick|--full]``
 """
 
 from __future__ import annotations
 
-import argparse
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -43,7 +43,6 @@ from repro.util.units import GiB
 
 #: Flow-kill rates, in expected kills per link-hour.
 DEFAULT_RATES = (30.0, 120.0, 360.0, 900.0, 1800.0)
-FULL_RATES = (15.0, 30.0, 60.0, 120.0, 360.0, 900.0, 1800.0, 3600.0)
 #: One-shot partition durations (seconds); the cut isolates three workers.
 DEFAULT_PARTITIONS = (2.0, 5.0, 10.0, 20.0)
 DEFAULT_SEEDS = (2011, 2012)
@@ -314,60 +313,6 @@ def format_report(result: NetworkFaultsResult) -> str:
     )
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=float, default=1.0, help="sort input size")
-    parser.add_argument(
-        "--seeds",
-        type=str,
-        default=None,
-        help="comma-separated fault seeds (default 2011,2012)",
-    )
-    parser.add_argument(
-        "--rates",
-        type=str,
-        default=None,
-        help="comma-separated flow-kill rates per link-hour",
-    )
-    parser.add_argument(
-        "--partitions",
-        type=str,
-        default=None,
-        help="comma-separated partition durations (seconds)",
-    )
-    parser.add_argument(
-        "--full", action="store_true", help="wider rate sweep (slower)"
-    )
-    args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    rates = (
-        _parse_floats(args.rates)
-        if args.rates
-        else (FULL_RATES if args.full else DEFAULT_RATES)
-    )
-    partitions = (
-        _parse_floats(args.partitions) if args.partitions else DEFAULT_PARTITIONS
-    )
-    print(
-        format_report(
-            run(
-                input_gb=args.gb,
-                seeds=seeds,
-                rates_per_link_hour=rates,
-                partition_durations=partitions,
-            )
-        )
-    )
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

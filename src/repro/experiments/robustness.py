@@ -6,12 +6,11 @@ re-runs the Figure-6 comparison and a Table-I cell across several
 placement seeds and reports mean ± spread — the check that the
 reproduced shapes aren't a lucky layout.
 
-Run: ``python -m repro.experiments.robustness``
+Run: ``python -m repro robustness [--seeds 1,2,3] [--input-gb N]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,23 +74,6 @@ def format_report(result: RobustnessResult) -> str:
     return "\n\n".join([banner("Robustness across seeds"), table.render(), verdict])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=2)
-    parser.add_argument(
-        "--seeds",
-        type=str,
-        default=None,
-        help="comma-separated placement seeds (default 1,2,3,4,5)",
-    )
-    args = parser.parse_args(argv)
-    if args.seeds:
-        seeds = tuple(int(tok) for tok in args.seeds.split(",") if tok.strip())
-        print(format_report(run(seeds=seeds, input_gb=args.gb)))
-    else:
-        print(format_report(run(input_gb=args.gb)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

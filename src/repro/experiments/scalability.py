@@ -7,12 +7,11 @@ MPI-D/Hadoop ratio, showing where each stops scaling (Hadoop's
 heartbeat-paced scheduling amortizes at scale; MPI-D's single reducer
 becomes the ceiling).
 
-Run: ``python -m repro.experiments.scalability``
+Run: ``python -m repro scalability [--node-counts 3,8,16] [--input-gb N]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments.reporting import Table, banner
@@ -87,13 +86,6 @@ def format_report(result: ScalabilityResult) -> str:
     return "\n\n".join([banner("Scalability sweep (paper future work 3)"), table.render()])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=20)
-    args = parser.parse_args(argv)
-    print(format_report(run(input_gb=args.gb)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

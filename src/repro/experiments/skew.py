@@ -7,12 +7,11 @@ partition weights through both the simulated Hadoop and the MPI-D
 system, and also measures, on the functional plane, the real byte
 imbalance a Zipf corpus induces under hash partitioning.
 
-Run: ``python -m repro.experiments.skew``
+Run: ``python -m repro skew [--input-gb N]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,13 +110,6 @@ def format_report(result: SkewResult) -> str:
     return "\n\n".join([banner("Partition skew"), table.render(), summary])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=4)
-    args = parser.parse_args(argv)
-    print(format_report(run(input_gb=args.gb)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

@@ -11,19 +11,24 @@ production straggler) and measures the job three ways:
 * one straggler node, speculation on — duplicate attempts of slow maps
   race on healthy nodes.
 
-Run: ``python -m repro.experiments.stragglers``
+Run: ``python -m repro stragglers [--input-gb N] [--seeds a,b] [--out DIR]``
+(the three scenarios at every seed, :func:`sweep`);
+``python -m repro trace stragglers`` records one speculative run observed.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 from repro.experiments.reporting import Table, banner
-from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobMetrics, JobSpec, run_hadoop_job
+from repro.hadoop import (
+    HadoopConfig,
+    HadoopSimulation,
+    JAVASORT_PROFILE,
+    JobMetrics,
+    JobSpec,
+    run_hadoop_job,
+)
 from repro.util.units import GiB
 
 DEFAULT_SEEDS = (2011, 2012, 2013)
@@ -145,39 +150,19 @@ def to_json(results: dict[int, StragglerResult]) -> dict:
     }
 
 
-def export(results: dict[int, StragglerResult], out_dir: Path) -> list[Path]:
-    """Write stragglers.csv / stragglers.json into ``out_dir``."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "stragglers.csv"
-    header, rows = to_rows(results)
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    json_path = out_dir / "stragglers.json"
-    with json_path.open("w") as fh:
-        json.dump(to_json(results), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return [csv_path, json_path]
-
-
-def write_traced_run(
-    trace_out,
+def observed_run(
+    attach,
     input_gb: int = 1,
     slow_node: int = 3,
     slowdown: float = 6.0,
     seed: int = 2011,
-) -> JobMetrics:
-    """One observed straggler run with speculation on; trace + manifest.
+):
+    """One observed straggler run with speculation on: process
+    ``hadoop-stragglers``.
 
     The trace shows the duplicate ``map<N>.spec`` attempts racing their
     originals on healthy nodes while the slow disk drags its own lane.
     """
-    import time as _time
-
-    from repro.hadoop import HadoopSimulation
-    from repro.obs import build_manifest, write_trace
-
     sim = HadoopSimulation(
         spec=JobSpec(
             name=f"sort-{input_gb}g",
@@ -189,25 +174,9 @@ def write_traced_run(
         disk_slowdown={slow_node: slowdown},
         observe=True,
     )
-    t0 = _time.perf_counter()
+    attach("hadoop-stragglers", sim.obs)
     metrics = sim.run()
-    observers = [(f"stragglers-{input_gb}g", sim.obs)]
-    manifest = build_manifest(
-        experiment="stragglers",
-        config={
-            "input_gb": input_gb,
-            "slow_node": slow_node,
-            "slowdown": slowdown,
-            "speculative_execution": True,
-        },
-        seed=seed,
-        observers=observers,
-        wall_seconds=_time.perf_counter() - t0,
-        sim_elapsed={"hadoop": metrics.elapsed},
-    )
-    write_trace(observers, trace_out, manifest=manifest)
-    manifest.write(Path(f"{trace_out}.manifest.json"))
-    return metrics
+    return [("hadoop-stragglers", sim.obs)], {"hadoop-stragglers": metrics.elapsed}
 
 
 def format_report(result: StragglerResult) -> str:
@@ -235,50 +204,20 @@ def format_report(result: StragglerResult) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--gb", type=int, default=4)
-    parser.add_argument("--slowdown", type=float, default=6.0)
-    parser.add_argument(
-        "--seeds",
-        type=str,
-        default=None,
-        help="comma-separated placement seeds (default 2011,2012,2013)",
-    )
-    parser.add_argument(
-        "--out", type=Path, default=None,
-        help="also write stragglers.csv / stragglers.json here",
-    )
-    parser.add_argument(
-        "--trace-out",
-        type=str,
-        default=None,
-        help="also run one observed 1 GB speculative run; "
-        "write Perfetto JSON here",
-    )
-    args = parser.parse_args(argv)
-    seeds = (
-        tuple(int(t) for t in args.seeds.split(",") if t.strip())
-        if args.seeds
-        else DEFAULT_SEEDS
-    )
-    results = sweep(input_gb=args.gb, slowdown=args.slowdown, seeds=seeds)
-    print(format_report(results[seeds[0]]))
+def format_sweep_report(results: dict[int, StragglerResult]) -> str:
+    """The first seed's report plus the recovered range across seeds."""
+    seeds = list(results)
+    text = format_report(results[seeds[0]])
     if len(seeds) > 1:
         recs = [results[s].recovered for s in seeds]
-        print(
-            f"\nacross seeds {','.join(map(str, seeds))}: speculation "
+        text += (
+            f"\n\nacross seeds {','.join(map(str, seeds))}: speculation "
             f"recovered {min(recs) * 100:.0f}%–{max(recs) * 100:.0f}% "
             f"of the lost time"
         )
-    if args.out is not None:
-        for path in export(results, args.out):
-            print(f"wrote {path}")
-    if args.trace_out is not None:
-        write_traced_run(args.trace_out, slowdown=args.slowdown)
-        print(f"wrote {args.trace_out} (+ {args.trace_out}.manifest.json)")
-    return 0
+    return text
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

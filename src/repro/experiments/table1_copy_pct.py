@@ -6,12 +6,11 @@ configurations 4/2, 4/4, 8/8, 16/16 and reports, for each cell,
 time)``.  The default sweep uses sizes 1-12 GB (same shape, seconds of
 wall time); ``--full`` reproduces the paper's exact grid.
 
-Run: ``python -m repro.experiments.table1_copy_pct [--full]``
+Run: ``python -m repro table1 [--full] [--sizes-gb 1,4]``
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass, field
 
 from repro.experiments import paper
@@ -27,7 +26,6 @@ SLOT_CONFIGS: dict[str, tuple[int, int]] = {
 }
 
 DEFAULT_SIZES_GB = (1, 2, 4, 8, 12)
-FULL_SIZES_GB = paper.TABLE1_SIZES_GB
 
 
 @dataclass
@@ -98,16 +96,6 @@ def format_report(result: Table1Result) -> str:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--full", action="store_true", help="run the paper's 1-150 GB grid"
-    )
-    args = parser.parse_args(argv)
-    sizes = FULL_SIZES_GB if args.full else DEFAULT_SIZES_GB
-    print(format_report(run(sizes_gb=sizes)))
-    return 0
-
-
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from repro.__main__ import alias
+    raise SystemExit(alias(__spec__.name))

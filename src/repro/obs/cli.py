@@ -11,137 +11,67 @@ command runs a small experiment with the observer attached and writes
 * optionally a metrics dump (``--metrics-out``, CSV or JSON by
   extension) and an ASCII Gantt of the phase spans (``--gantt``).
 
-Experiments:
+Experiments (every registry entry with an observed-run function; the
+flags after the name come from that function's signature):
 
-* ``fig6``  — WordCount, Hadoop and MPI-D side by side (two pids).
-* ``fig1``  — JavaSort shuffle anatomy on Hadoop.
-* ``fault`` — one Hadoop run under Poisson node churn (fault instants,
-  aborted attempts, re-executions).
+* ``fig6``       — WordCount, Hadoop and MPI-D side by side (two pids).
+* ``fig1``       — JavaSort shuffle anatomy on Hadoop.
+* ``fault``      — one Hadoop run under Poisson node churn (fault
+  instants, aborted attempts, re-executions).
+* ``durability`` — one Hadoop run on dying disks (HDFS repair flows).
+* ``stragglers`` — one speculative run next to a slow disk.
+* ``tenants``    — one multi-tenant chaos-under-load run.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import sys
 import time
 from pathlib import Path
 
 from repro.obs.gantt import ascii_gantt
 from repro.obs.manifest import build_manifest
 from repro.obs.perfetto import write_trace
-from repro.util.units import fmt_bytes, parse_size
-
-_EXPERIMENTS = ("fig6", "fig1", "fault")
 
 
-def _wordcount_spec(nbytes: int):
-    from repro.hadoop import JobSpec, WORDCOUNT_PROFILE
+def observed_parser(prog: str, description: str, argv: list[str]):
+    """A parser whose first positional names an observed experiment.
 
-    return JobSpec(
-        name=f"wordcount-{fmt_bytes(nbytes)}",
-        input_bytes=nbytes,
-        profile=WORDCOUNT_PROFILE,
-        num_reduce_tasks=1,
-    )
-
-
-def _run_fig6(nbytes: int, seed: int, attach=None):
-    from repro.hadoop import HadoopConfig
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.mrmpi import MrMpiConfig
-    from repro.mrmpi.simulator import MrMpiSimulation
-
-    spec = _wordcount_spec(nbytes)
-    hsim = HadoopSimulation(
-        spec=spec,
-        config=HadoopConfig(map_slots=7, reduce_slots=7),
-        seed=seed,
-        observe=True,
-    )
-    if attach is not None:
-        attach("hadoop", hsim.obs)
-    hm = hsim.run()
-    msim = MrMpiSimulation(
-        spec=spec, config=MrMpiConfig(num_mappers=49, num_reducers=1), observe=True
-    )
-    if attach is not None:
-        attach("mpid", msim.obs)
-    mm = msim.run()
-    observers = [("hadoop", hsim.obs), ("mpid", msim.obs)]
-    return observers, {"hadoop": hm.elapsed, "mpid": mm.elapsed}
-
-
-def _run_fig1(nbytes: int, seed: int, attach=None):
-    from repro.hadoop import HadoopConfig, JAVASORT_PROFILE, JobSpec
-    from repro.hadoop.simulation import HadoopSimulation
-
-    spec = JobSpec(
-        name=f"javasort-{fmt_bytes(nbytes)}",
-        input_bytes=nbytes,
-        profile=JAVASORT_PROFILE,
-    )
-    sim = HadoopSimulation(
-        spec=spec,
-        config=HadoopConfig(map_slots=8, reduce_slots=8),
-        seed=seed,
-        observe=True,
-    )
-    if attach is not None:
-        attach("hadoop", sim.obs)
-    metrics = sim.run()
-    return [("hadoop", sim.obs)], {"hadoop": metrics.elapsed}
-
-
-def _run_fault(nbytes: int, seed: int, rate_per_hour: float = 40.0, attach=None):
-    from repro.hadoop import HadoopConfig, JobFailedError
-    from repro.hadoop.simulation import HadoopSimulation
-    from repro.simnet.cluster import ClusterSpec
-    from repro.simnet.faults import CrashRate, FaultPlan
-
-    plan = FaultPlan(
-        specs=(
-            CrashRate(
-                rate=rate_per_hour / 3600.0,
-                nodes=tuple(range(1, ClusterSpec().num_nodes)),
-                restart_after=30.0,
-            ),
-        ),
-        seed=seed,
-    )
-    sim = HadoopSimulation(
-        spec=_wordcount_spec(nbytes),
-        config=HadoopConfig(
-            map_slots=7, reduce_slots=7, tasktracker_expiry_interval=60.0
-        ),
-        seed=seed,
-        fault_plan=plan,
-        observe=True,
-    )
-    if attach is not None:
-        attach("hadoop-faulted", sim.obs)
-    try:
-        metrics = sim.run()
-    except JobFailedError as err:
-        metrics = err.metrics
-    return [("hadoop-faulted", sim.obs)], {"hadoop-faulted": metrics.elapsed}
-
-
-def run_experiment(experiment: str, nbytes: int, seed: int,
-                   rate_per_hour: float = 40.0, attach=None):
-    """Run one named experiment with observers on; shared with ``replay``.
-
-    ``attach(name, obs)`` — when given — is called for each simulation
-    after construction and *before* ``run()``, which is the window where
-    a streaming store can hook the tracer/metrics sinks and still see
-    every event.
+    Returns ``(parser, entry)``; when ``argv`` starts with an observed
+    experiment's name, the parser also carries that experiment's flags.
     """
-    if experiment == "fig6":
-        return _run_fig6(nbytes, seed, attach=attach)
-    if experiment == "fig1":
-        return _run_fig1(nbytes, seed, attach=attach)
-    if experiment == "fault":
-        return _run_fault(nbytes, seed, rate_per_hour, attach=attach)
-    raise ValueError(f"unknown experiment {experiment!r}")
+    from repro.__main__ import add_param_flags
+    from repro.experiments.registry import OBSERVED
+
+    parser = argparse.ArgumentParser(
+        prog=prog,
+        description=description,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("experiment", choices=sorted(OBSERVED))
+    entry = OBSERVED.get(argv[0]) if argv else None
+    if entry is not None:
+        add_param_flags(parser, entry.function(entry.observed))
+    return parser, entry
+
+
+def run_observed(entry, args: argparse.Namespace, attach=None):
+    """Call ``entry``'s observed-run function with the parsed flags.
+
+    Returns ``(observers, sim_elapsed, config)``; ``config`` holds every
+    parameter the run used, defaults included.
+    """
+    fn = entry.function(entry.observed)
+    sig = inspect.signature(fn)
+    flags = {k: v for k, v in vars(args).items() if k in sig.parameters}
+    bound = sig.bind(attach or (lambda name, obs: None), **flags)
+    bound.apply_defaults()
+    observers, sim_elapsed = fn(*bound.args, **bound.kwargs)
+    config = {k: v for k, v in bound.arguments.items() if k != "attach"}
+    return observers, sim_elapsed, config
 
 
 def _write_metrics(path: Path, observers) -> None:
@@ -167,17 +97,8 @@ def _write_metrics(path: Path, observers) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro trace", description=__doc__
-    )
-    parser.add_argument("experiment", choices=_EXPERIMENTS)
-    parser.add_argument(
-        "--size", type=str, default="1GB", help="input size (e.g. 256MB, 1GB)"
-    )
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--rate", type=float, default=40.0, help="fault: crashes per node-hour"
-    )
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, entry = observed_parser("python -m repro trace", __doc__, argv)
     parser.add_argument(
         "--trace-out", type=Path, default=Path("trace.json"),
         help="Perfetto trace_event JSON output path",
@@ -227,12 +148,9 @@ def main(argv: list[str] | None = None) -> int:
         writers.append(obs.stream_to(path, system=name))
         store_paths.append(path)
 
-    nbytes = parse_size(args.size)
     t0 = time.perf_counter()
     try:
-        observers, sim_elapsed = run_experiment(
-            args.experiment, nbytes, args.seed, args.rate, attach=_attach
-        )
+        observers, sim_elapsed, config = run_observed(entry, args, _attach)
     finally:
         for writer in writers:
             writer.close()
@@ -240,8 +158,8 @@ def main(argv: list[str] | None = None) -> int:
 
     manifest = build_manifest(
         experiment=args.experiment,
-        config={"size": args.size, "seed": args.seed, "rate": args.rate},
-        seed=args.seed,
+        config=config,
+        seed=config.get("seed"),
         observers=observers,
         wall_seconds=wall,
         sim_elapsed=sim_elapsed,
@@ -272,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
         dash = _resolve(Path("dashboard.html"))
         write_dashboard(
             dash, replays,
-            title=f"repro trace — {args.experiment} {args.size}",
+            title=f"repro trace — {args.experiment}",
             manifest=manifest,
         )
         print(f"wrote {dash} — open it in a browser to replay this run")

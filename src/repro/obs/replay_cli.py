@@ -7,8 +7,9 @@ playback scrubber (see :mod:`repro.obs.dashboard`).
 
 The target decides where the events come from:
 
-* ``fig6`` / ``fig1`` / ``fault`` — run that experiment now (same
-  runners as ``repro trace``) and replay the live observers;
+* an observed experiment (``fig6``, ``fig1``, ``fault``, ``durability``,
+  ``stragglers``, ``tenants``) — run it now, with the same function and
+  flags as ``repro trace``, and replay the live observers;
 * ``*.jsonl`` — a streamed trace store written by ``repro trace
   --stream`` (read chunked; memory stays O(chunk), not O(trace));
 * ``*.json``  — an existing Perfetto ``trace_event`` export;
@@ -24,9 +25,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 from pathlib import Path
-
-from repro.util.units import parse_size
 
 
 def _dump_json(path: Path, replays) -> None:
@@ -36,29 +36,23 @@ def _dump_json(path: Path, replays) -> None:
         fh.write("\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro replay", description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument(
-        "target",
-        help="fig6|fig1|fault (run now), a .jsonl trace store, "
-        "a Perfetto trace.json, 'sweep', or 'fleet'",
-    )
-    parser.add_argument(
-        "store_dir", nargs="?", type=Path, default=None,
-        help="fleet: directory of .jsonl trace stores",
-    )
-    parser.add_argument(
-        "--size", type=str, default="1GB",
-        help="experiment targets: input size (e.g. 256MB, 1GB)",
-    )
-    parser.add_argument("--seed", type=int, default=2011)
-    parser.add_argument(
-        "--rate", type=float, default=40.0,
-        help="fault target: crashes per node-hour",
-    )
+def _replay_experiment(argv: list[str]) -> int:
+    """Run one observed experiment now and replay its live observers."""
+    from repro.obs.cli import observed_parser, run_observed
+    from repro.obs.replay import replay_observer
+
+    parser, entry = observed_parser("python -m repro replay", __doc__, argv)
+    _frame_flags(parser)
+    args = parser.parse_args(argv)
+    observers, _, _ = run_observed(entry, args)
+    replays = [
+        (name, replay_observer(obs, system=name, buckets=args.buckets))
+        for name, obs in observers
+    ]
+    return _write(replays, f"repro replay — {args.experiment}", args)
+
+
+def _frame_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--buckets", type=int, default=120,
         help="playback frames to fold the run into (default 120)",
@@ -71,6 +65,46 @@ def main(argv: list[str] | None = None) -> int:
         "--json-out", type=Path, default=None,
         help="also dump the folded frames as JSON (headless use)",
     )
+
+
+def _write(replays, title: str, args: argparse.Namespace) -> int:
+    from repro.obs.dashboard import write_dashboard
+
+    for name, r in replays:
+        print(
+            f"  {name}: {r.t_end:.2f}s simulated -> {len(r.frames)} frames, "
+            f"{len(r.nodes)} nodes, {r.spans_seen} spans, "
+            f"{r.total_markers} markers"
+        )
+    out = args.out or Path("dashboard.html")
+    write_dashboard(out, replays, title=title)
+    print(f"wrote {out} — open it in a browser")
+    if args.json_out is not None:
+        _dump_json(args.json_out, replays)
+        print(f"wrote {args.json_out}")
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    from repro.experiments.registry import OBSERVED
+
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in OBSERVED:
+        return _replay_experiment(argv)
+    parser = argparse.ArgumentParser(
+        prog="python -m repro replay", description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument(
+        "target",
+        help=f"{'|'.join(OBSERVED)} (run now), a .jsonl trace store, "
+        "a Perfetto trace.json, 'sweep', or 'fleet'",
+    )
+    parser.add_argument(
+        "store_dir", nargs="?", type=Path, default=None,
+        help="fleet: directory of .jsonl trace stores",
+    )
+    _frame_flags(parser)
     parser.add_argument(
         "--results-dir", type=Path, default=Path("results"),
         help="sweep: directory of experiments CSV/JSON exports",
@@ -80,8 +114,6 @@ def main(argv: list[str] | None = None) -> int:
         help="fleet: override the recorded root name (CI byte-stability)",
     )
     args = parser.parse_args(argv)
-
-    from repro.obs.dashboard import write_dashboard, write_sweep_browser
 
     if args.target == "fleet":
         from repro.obs.dashboard import write_fleet_page
@@ -109,64 +141,35 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.target == "sweep":
+        from repro.obs.dashboard import write_sweep_browser
+
         out = args.out or Path("sweep.html")
         results = args.results_dir if args.results_dir.is_dir() else None
         if results is None:
             print(f"note: {args.results_dir}/ not found — run "
-                  "`python -m repro.experiments.export` first for charts")
+                  "`python -m repro all --quick --out results` first for charts")
         write_sweep_browser(out, results_dir=results)
         print(f"wrote {out} — open it in a browser")
         return 0
 
-    from repro.obs.replay import (
-        replay_observer,
-        replay_store,
-        replays_from_perfetto,
-    )
+    from repro.obs.replay import replay_store, replays_from_perfetto
 
     target = args.target
-    manifest = None
-    if target in ("fig6", "fig1", "fault"):
-        from repro.obs.cli import run_experiment
-
-        observers, sim_elapsed = run_experiment(
-            target, parse_size(args.size), args.seed, args.rate
-        )
-        replays = [
-            (name, replay_observer(obs, system=name, buckets=args.buckets))
-            for name, obs in observers
-        ]
-        title = f"repro replay — {target} {args.size}"
-    elif target.endswith(".jsonl"):
+    if target.endswith(".jsonl"):
         r = replay_store(target, buckets=args.buckets)
         replays = [(r.system, r)]
-        title = f"repro replay — {Path(target).name}"
     elif target.endswith(".json"):
         replays = sorted(
             replays_from_perfetto(target, buckets=args.buckets).items()
         )
         if not replays:
             parser.error(f"{target}: no replayable processes found")
-        title = f"repro replay — {Path(target).name}"
     else:
         parser.error(
-            f"unknown target {target!r}: expected fig6|fig1|fault|sweep, "
-            "a .jsonl store, or a .json trace"
+            f"unknown target {target!r}: expected "
+            f"{'|'.join(OBSERVED)}|sweep|fleet, a .jsonl store, or a .json trace"
         )
-
-    for name, r in replays:
-        print(
-            f"  {name}: {r.t_end:.2f}s simulated -> {len(r.frames)} frames, "
-            f"{len(r.nodes)} nodes, {r.spans_seen} spans, "
-            f"{r.total_markers} markers"
-        )
-    out = args.out or Path("dashboard.html")
-    write_dashboard(out, replays, title=title, manifest=manifest)
-    print(f"wrote {out} — open it in a browser")
-    if args.json_out is not None:
-        _dump_json(args.json_out, replays)
-        print(f"wrote {args.json_out}")
-    return 0
+    return _write(replays, f"repro replay — {Path(target).name}", args)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import csv
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments.export import (
     fig2_csv,
     fig3_csv,
@@ -11,6 +12,8 @@ from repro.experiments.export import (
     render_csv,
     table1_csv,
 )
+from repro.experiments.fig2_latency import run as fig2_run
+from repro.experiments.fig3_bandwidth import run as fig3_run
 from repro.experiments.fig6_wordcount import run as fig6_run
 from repro.experiments.gridmix import format_report, run as gridmix_run
 from repro.experiments.table1_copy_pct import run as t1_run
@@ -19,15 +22,15 @@ from repro.workloads.gridmix_suite import GRIDMIX_SUITE, suite_by_name
 
 class TestCsvExports:
     def test_fig2_csv_shape(self):
-        header, rows = fig2_csv()
+        header, rows = fig2_csv(fig2_run())
         assert header == ["size_bytes", "hadoop_rpc_s", "mpich2_s", "ratio"]
         assert all(len(r) == 4 for r in rows)
         assert rows[0][0] == 1
 
     def test_fig3_csv_has_all_series(self):
-        header, rows = fig3_csv()
+        header, rows = fig3_csv(fig3_run(include_nio=True))
         assert "Hadoop_RPC" in header and "MPICH2" in header
-        assert "Socket_NIO" in header  # exported with the NIO series
+        assert "Socket_NIO" in header
         assert len(rows) == 27  # packet sizes 2^0..2^26
 
     def test_table1_csv_roundtrips_through_csv_module(self):
@@ -42,42 +45,28 @@ class TestCsvExports:
         assert rows[0][0] == 1
         assert rows[0][3] < 1.0  # MPI-D faster
 
-    def test_export_all_writes_files(self, tmp_path):
-        # Only check the cheap exporters through the file path; patch the
-        # registry down to two to keep the test fast.
-        from repro.experiments import export as mod
-
-        small = {
-            "fig2_latency.csv": mod.fig2_csv,
-            "fig3_bandwidth.csv": mod.fig3_csv,
-        }
-        original, original_json = mod.EXPORTS, mod.JSON_EXPORTS
-        mod.EXPORTS, mod.JSON_EXPORTS = small, {}
-        try:
-            written = mod.export_all(tmp_path / "out")
-        finally:
-            mod.EXPORTS, mod.JSON_EXPORTS = original, original_json
-        assert len(written) == 2
+    def test_export_all_writes_files(self, tmp_path, capsys):
+        # `--out` writes each experiment's files from the run just made;
+        # the two cheap figures keep the test fast.
+        out = tmp_path / "out"
+        assert main(["fig2", "--trials", "5", "--out", str(out)]) == 0
+        assert main(["fig3", "--quick", "--out", str(out)]) == 0
+        written = sorted(out.iterdir())
+        assert [p.name for p in written] == ["fig2_latency.csv", "fig3_bandwidth.csv"]
         for path in written:
-            assert path.exists() and path.stat().st_size > 0
+            assert path.stat().st_size > 0
+        with (out / "fig3_bandwidth.csv").open() as fh:
+            assert "Socket_NIO" in next(csv.reader(fh))  # --quick adds NIO
+        assert "wrote" in capsys.readouterr().out
 
-    def test_export_only_filters_and_validates(self, tmp_path):
-        from repro.experiments import export as mod
-
-        small = {
-            "fig2_latency.csv": mod.fig2_csv,
-            "fig3_bandwidth.csv": mod.fig3_csv,
-        }
-        original, original_json = mod.EXPORTS, mod.JSON_EXPORTS
-        mod.EXPORTS, mod.JSON_EXPORTS = small, {}
-        try:
-            written = mod.export_all(tmp_path / "out",
-                                     only={"fig2_latency.csv"})
-            assert [p.name for p in written] == ["fig2_latency.csv"]
-            with pytest.raises(ValueError, match="unknown exports"):
-                mod.export_all(tmp_path / "out", only={"nope.csv"})
-        finally:
-            mod.EXPORTS, mod.JSON_EXPORTS = original, original_json
+    def test_export_only_filters_and_validates(self, tmp_path, capsys):
+        # One command writes only its own experiment's files, and an
+        # unknown experiment name is refused.
+        out = tmp_path / "out"
+        assert main(["fig2", "--trials", "5", "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["fig2_latency.csv"]
+        assert main(["nope", "--out", str(out)]) == 2
+        assert "unknown experiment 'nope'" in capsys.readouterr().err
 
 
 class TestGridmixSuite:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.experiments import fault_tolerance
 from repro.experiments.export import (
-    JSON_EXPORTS,
     fault_tolerance_csv,
     fault_tolerance_json,
     fig6_json,
@@ -45,8 +44,12 @@ class TestFig6Json:
         assert data["mpid"]["1"]  # MrMpiMetrics.to_dict payload
 
     def test_registered_for_export_all(self):
-        assert "fig6_wordcount.json" in JSON_EXPORTS
-        assert "fault_tolerance.json" in JSON_EXPORTS
+        from repro.experiments.registry import BY_NAME
+
+        assert ("fig6_wordcount.json", "export.fig6_json") in BY_NAME["fig6"].exports
+        assert (
+            "fault_tolerance.json", "export.fault_tolerance_json"
+        ) in BY_NAME["fault"].exports
 
 
 class TestFaultToleranceExports:

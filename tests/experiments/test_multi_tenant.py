@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import multi_tenant
+from repro.experiments.registry import BY_NAME
+from repro.obs.cli import main as trace_main
+from repro.obs.perfetto import categories_in, validate_trace
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +58,7 @@ class TestExports:
         assert "2x-fair-clean" in blob
 
     def test_export_writes_files(self, result, tmp_path):
-        paths = multi_tenant.export(result, tmp_path)
+        paths = BY_NAME["tenants"].write_exports(result, tmp_path)
         names = {p.name for p in paths}
         assert names == {"multi_tenant.csv", "multi_tenant.json"}
         for p in paths:
@@ -69,17 +73,22 @@ class TestExports:
 class TestTracedRun:
     def test_trace_and_manifest_written(self, tmp_path):
         trace = tmp_path / "tenants.json"
-        report = multi_tenant.write_traced_run(str(trace), horizon=200.0)
+        rc = trace_main(
+            ["tenants", "--horizon", "200", "--trace-out", str(trace)]
+        )
+        assert rc == 0
         assert trace.stat().st_size > 0
         manifest = json.loads((tmp_path / "tenants.json.manifest.json").read_text())
-        assert manifest["experiment"] == "multi_tenant"
-        assert report["jobs"] > 0
+        assert manifest["experiment"] == "tenants"
+        assert manifest["config"]["horizon"] == 200.0
+        assert "tenant.job" in categories_in(validate_trace(trace))
 
 
 class TestCli:
     def test_quick_main(self, capsys, tmp_path):
-        rc = multi_tenant.main(
+        rc = main(
             [
+                "tenants",
                 "--quick",
                 "--horizon",
                 "200",

@@ -4,7 +4,10 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments import stragglers
+from repro.experiments.registry import BY_NAME
+from repro.obs.cli import main as trace_main
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +38,7 @@ class TestExports:
         assert 0 <= run["degradation_x"]
 
     def test_export_writes_files(self, results, tmp_path):
-        paths = stragglers.export(results, tmp_path)
+        paths = BY_NAME["stragglers"].write_exports(results, tmp_path)
         assert {p.name for p in paths} == {"stragglers.csv", "stragglers.json"}
         for p in paths:
             assert p.stat().st_size > 0
@@ -44,19 +47,23 @@ class TestExports:
 class TestTracedRun:
     def test_trace_and_manifest_written(self, tmp_path):
         trace = tmp_path / "stragglers.json"
-        metrics = stragglers.write_traced_run(str(trace), input_gb=1)
-        assert metrics.elapsed > 0
+        rc = trace_main(
+            ["stragglers", "--input-gb", "1", "--trace-out", str(trace)]
+        )
+        assert rc == 0
         assert trace.stat().st_size > 0
         manifest = json.loads(
             (tmp_path / "stragglers.json.manifest.json").read_text()
         )
         assert manifest["experiment"] == "stragglers"
+        assert manifest["sim_elapsed"]["hadoop-stragglers"] > 0
 
 
 class TestCli:
     def test_main_with_seeds_and_out(self, capsys, tmp_path):
-        rc = stragglers.main(
-            ["--gb", "1", "--seeds", "2011,2012", "--out", str(tmp_path)]
+        rc = main(
+            ["stragglers", "--input-gb", "1", "--seeds", "2011,2012",
+             "--out", str(tmp_path)]
         )
         assert rc == 0
         out = capsys.readouterr().out

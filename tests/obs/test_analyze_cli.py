@@ -45,6 +45,14 @@ class TestAnalyzeCli:
         with pytest.raises(SystemExit):
             analyze_main([str(fig6_trace), "--system", "nope"])
 
+    def test_validate_round_trip(self, fig6_trace, capsys):
+        # The manifest `repro trace fig6` writes is enough to re-run the
+        # top what-if with its knob turned.
+        assert analyze_main([str(fig6_trace), "--validate"]) == 0
+        out = capsys.readouterr().out
+        assert "what-if validation (hadoop, " in out
+        assert "re-ran with the knob turned" in out
+
     def test_validate_without_manifest_fails_loudly(self, fig6_trace, tmp_path):
         bare = tmp_path / "bare.json"
         bare.write_text(fig6_trace.read_text())

@@ -3,6 +3,8 @@
 import csv
 import json
 
+import pytest
+
 from repro.obs.cli import main as trace_main
 from repro.obs.perfetto import categories_in, validate_trace
 
@@ -53,6 +55,45 @@ class TestTraceCli:
         assert rc == 0
         events = validate_trace(trace)
         assert "fault" in categories_in(events)
+
+
+#: One small run of every observed experiment.
+OBSERVED_RUNS = {
+    "fig6": ["--size", "64MB"],
+    "fig1": ["--size", "64MB"],
+    "fault": ["--size", "64MB"],
+    "durability": ["--input-gb", "0.25"],
+    "stragglers": ["--input-gb", "1"],
+    "tenants": ["--horizon", "30"],
+}
+
+
+class TestObservedManifests:
+    def test_every_observed_experiment_is_covered(self):
+        from repro.experiments.registry import OBSERVED
+
+        assert set(OBSERVED_RUNS) == set(OBSERVED)
+
+    @pytest.mark.parametrize("name", sorted(OBSERVED_RUNS))
+    def test_manifest_names_the_run_and_its_processes(self, name, tmp_path):
+        trace = tmp_path / "t.json"
+        assert trace_main([name, *OBSERVED_RUNS[name], "--trace-out", str(trace)]) == 0
+        manifest = json.loads((tmp_path / "t.json.manifest.json").read_text())
+        assert manifest["experiment"] == name
+        assert manifest["sim_elapsed"]
+        assert set(manifest["sim_elapsed"]) == set(manifest["event_counts"])
+        processes = {
+            ev["args"]["name"]
+            for ev in validate_trace(trace)
+            if ev.get("ph") == "M" and ev.get("name") == "process_name"
+        }
+        assert processes == set(manifest["sim_elapsed"])
+
+    def test_flags_come_from_the_observed_function(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            trace_main(["fig6", "--rate", "40"])
+        assert err.value.code == 2
+        assert "unrecognized arguments: --rate" in capsys.readouterr().err
 
 
 class TestOutDirStreamDashboard:
