@@ -142,7 +142,7 @@ def analyze_size(nbytes: int, seed: int) -> tuple[BlameRow, CriticalPath]:
     """One observed run -> causal blame + counter cross-check."""
     sim = _hadoop_sim(nbytes, seed, observe=True)
     metrics = sim.run()
-    dag = TraceDAG.from_observer(sim.obs, name="hadoop")
+    dag = TraceDAG.from_tracer(sim.obs.tracer, name="hadoop")
     cp = critical_path(dag)
     pb = phase_breakdown(dag)
     row = BlameRow(

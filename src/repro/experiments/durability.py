@@ -45,7 +45,7 @@ from repro.hadoop import (
 from repro.mrmpi import (
     MrMpiConfig,
     run_mpid_job,
-    run_mpid_job_under_storage_faults,
+    run_mpid_job_resubmitted,
 )
 from repro.simnet.cluster import ClusterSpec
 from repro.simnet.faults import DiskFailure, FaultPlan
@@ -207,7 +207,7 @@ def run(
                 h.blocks_lost += hm.blocks_lost
                 h.read_failovers += hm.read_failovers
 
-                mm = run_mpid_job_under_storage_faults(
+                mm = run_mpid_job_resubmitted(
                     spec,
                     plan,
                     config=mpid_cfgs[repl],

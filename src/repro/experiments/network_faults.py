@@ -36,7 +36,7 @@ from repro.hadoop import (
     JobSpec,
     run_hadoop_job,
 )
-from repro.mrmpi import MrMpiConfig, run_mpid_job, run_mpid_job_under_net_faults
+from repro.mrmpi import MrMpiConfig, run_mpid_job, run_mpid_job_resubmitted
 from repro.simnet.cluster import ClusterSpec
 from repro.simnet.faults import FaultPlan, FlowLossRate, NetworkPartition
 from repro.util.units import GiB
@@ -162,14 +162,14 @@ def run(
                 h_dnf += 1
             for key in shuffle_acc:
                 shuffle_acc[key] += getattr(hm, key)
-            mm = run_mpid_job_under_net_faults(
+            mm = run_mpid_job_resubmitted(
                 spec, plan, config=mpid_cfg, cluster_spec=cluster_spec
             )
             m_times.append(mm.elapsed)
             m_restarts.append(mm.restarts)
             if not mm.completed:
                 m_dnf += 1
-            rm = run_mpid_job_under_net_faults(
+            rm = run_mpid_job_resubmitted(
                 spec, plan, config=mpid_rel_cfg, cluster_spec=cluster_spec
             )
             r_times.append(rm.elapsed)
@@ -204,7 +204,7 @@ def run(
                 retries.append(hm.fetch_retries)
             except JobFailedError:
                 h_times.append(float("inf"))
-            mm = run_mpid_job_under_net_faults(
+            mm = run_mpid_job_resubmitted(
                 spec, plan, config=mpid_cfg, cluster_spec=cluster_spec
             )
             m_times.append(mm.elapsed)

@@ -18,9 +18,8 @@ from repro.mrmpi.simulator import (
     MrMpiSimulation,
     replay_restarts,
     run_mpid_job,
+    run_mpid_job_resubmitted,
     run_mpid_job_under_faults,
-    run_mpid_job_under_net_faults,
-    run_mpid_job_under_storage_faults,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "MpiJobAborted",
     "replay_restarts",
     "run_mpid_job",
+    "run_mpid_job_resubmitted",
     "run_mpid_job_under_faults",
-    "run_mpid_job_under_net_faults",
-    "run_mpid_job_under_storage_faults",
 ]

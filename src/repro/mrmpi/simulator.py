@@ -1106,108 +1106,58 @@ def run_mpid_job_under_faults(
         horizon *= 2.0
 
 
-def run_mpid_job_under_net_faults(
+def run_mpid_job_resubmitted(
     spec: JobSpec,
     plan: FaultPlan,
     config: Optional[MrMpiConfig] = None,
     cluster_spec: Optional[ClusterSpec] = None,
 ) -> MrMpiFaultMetrics:
-    """One MPI-D job on a lossy network, restarts included.
+    """One MPI-D job under network and storage faults, restarts included.
 
-    Unlike node crashes (deterministic rerun -> analytic replay),
-    network faults interact with the traffic, so every attempt is a real
-    DES run.  The baseline transport aborts on the first killed stream
-    and the job is resubmitted from scratch (the paper's Section-V
-    criticism made concrete); ``config.reliable_transport`` retransmits
-    instead and usually completes in one attempt.
+    Unlike node crashes (deterministic rerun -> analytic replay), these
+    faults interact with the traffic and the input, so every attempt is
+    a real DES run.  The baseline transport aborts on the first killed
+    stream and the job is resubmitted from scratch (the paper's
+    Section-V criticism made concrete); ``config.reliable_transport``
+    retransmits instead and usually completes in one attempt.
 
     Attempt 0 runs under ``plan`` exactly as Hadoop would see it —
-    identical kill timeline for the head-to-head comparison.  Each
+    identical fault timeline for the head-to-head comparison.  Each
     resubmission re-derives the plan seed (a restarted job re-rolls the
-    network's dice), so the restart sequence is still a pure function of
-    (spec, plan, config).
+    dice), so the restart sequence is still a pure function of (spec,
+    plan, config).
+
+    The crucial storage asymmetry with Hadoop (Section V): MPI-D has no
+    NameNode re-replicating lost blocks, so storage damage is
+    *permanent* — it is carried into every resubmission via
+    ``prior_damage``.  With ``input_replication=1`` the first relevant
+    disk death dooms the job; with extra replicas it survives by failing
+    over (at remote-read cost) until the last copy of some block is
+    gone, at which point restarting is pointless and the job is declared
+    failed immediately.  Under storage faults the replica placement is a
+    pure function of ``plan.seed`` and is NOT re-rolled across attempts
+    (the input layout does not change on resubmission).
     """
     cfg = config or MrMpiConfig()
     cspec = cluster_spec or ClusterSpec()
     clean = run_mpid_job(spec, config=cfg, cluster_spec=cspec).elapsed
     out = MrMpiFaultMetrics(job_name=spec.name, clean_elapsed=clean)
-    wall = 0.0
-    attempt = 0
-    while True:
-        # A resubmission starts ``wall`` seconds into the fault timeline:
-        # one-shot outages it outlived never recur, and the re-rolled
-        # seed keeps the loss streams independent across attempts.
-        p = (
-            plan
-            if attempt == 0
-            else replace(
-                plan.shifted(wall),
-                seed=derive_seed(plan.seed, "mpid-net-attempt", attempt),
-            )
-        )
-        sim = MrMpiSimulation(
-            spec=spec,
-            config=cfg,
-            cluster_spec=cspec,
-            fault_plan=p,
-            seed=p.seed,
-        )
-        try:
-            m = sim.run()
-        except MpiJobAborted as exc:
-            out.restarts += 1
-            out.lost_work_seconds += exc.at
-            out.restart_overhead_seconds += cfg.restart_overhead
-            out.flows_lost += exc.metrics.flows_lost
-            out.retransmits += exc.metrics.retransmits
-            wall += exc.at + cfg.restart_overhead
-            if out.restarts > cfg.max_restarts:
-                out.completed = False
-                out.elapsed = float("inf")
-                return out
-            attempt += 1
-            continue
-        out.flows_lost += m.flows_lost
-        out.retransmits += m.retransmits
-        out.elapsed = wall + m.elapsed
-        return out
-
-
-def run_mpid_job_under_storage_faults(
-    spec: JobSpec,
-    plan: FaultPlan,
-    config: Optional[MrMpiConfig] = None,
-    cluster_spec: Optional[ClusterSpec] = None,
-) -> MrMpiFaultMetrics:
-    """One MPI-D job over failing input disks, restarts included.
-
-    The crucial asymmetry with Hadoop (Section V): MPI-D has no NameNode
-    re-replicating lost blocks, so storage damage is *permanent* — it is
-    carried into every resubmission via ``prior_damage``.  With
-    ``input_replication=1`` the first relevant disk death dooms the job;
-    with extra replicas it survives by failing over (at remote-read cost)
-    until the last copy of some block is gone, at which point restarting
-    is pointless and the job is declared failed immediately.
-
-    The replica placement is a pure function of ``plan.seed`` and is NOT
-    re-rolled across attempts (the input layout does not change on
-    resubmission); the fault streams are re-derived per attempt just as
-    in the network-fault loop.
-    """
-    cfg = config or MrMpiConfig()
-    cspec = cluster_spec or ClusterSpec()
-    clean = run_mpid_job(spec, config=cfg, cluster_spec=cspec).elapsed
-    out = MrMpiFaultMetrics(job_name=spec.name, clean_elapsed=clean)
+    # A plan that can fail flows re-rolls under the network tag, so
+    # dormant storage specs next to it leave its restarts unchanged.
+    tag = "mpid-net-attempt" if plan.has_network_faults() else "mpid-storage-attempt"
+    fixed_layout = plan.has_storage_faults()
     wall = 0.0
     attempt = 0
     damage: Optional[tuple] = None
     while True:
+        # A resubmission starts ``wall`` seconds into the fault timeline:
+        # one-shot outages it outlived never recur, and the re-rolled
+        # seed keeps the fault streams independent across attempts.
         p = (
             plan
             if attempt == 0
             else replace(
-                plan.shifted(wall),
-                seed=derive_seed(plan.seed, "mpid-storage-attempt", attempt),
+                plan.shifted(wall), seed=derive_seed(plan.seed, tag, attempt)
             )
         )
         sim = MrMpiSimulation(
@@ -1215,7 +1165,8 @@ def run_mpid_job_under_storage_faults(
             config=cfg,
             cluster_spec=cspec,
             fault_plan=p,
-            seed=plan.seed,  # placement is layout, not luck: never re-rolled
+            # Placement is layout, not luck: never re-rolled.
+            seed=plan.seed if fixed_layout else p.seed,
             prior_damage=damage,
         )
         try:

@@ -10,7 +10,8 @@ the :class:`~repro.simnet.kernel.Simulator` they already hold:
   histograms sampled in *simulated* time (link utilization, queue
   depths, slot occupancy, bytes shuffled);
 * exporters — Chrome/Perfetto ``trace_event`` JSON
-  (:func:`trace_events` / :func:`write_trace`), an ASCII Gantt renderer
+  (:func:`trace_events` / :func:`write_trace`, read back into observers
+  by :func:`load_observers`), an ASCII Gantt renderer
   (:func:`ascii_gantt`) and per-run manifests (:func:`build_manifest`);
 * the streaming layer — an append-as-recorded JSONL trace store
   (:class:`TraceStoreWriter` / :func:`read_events` / :func:`load_tracer`),
@@ -44,14 +45,18 @@ from repro.obs.metrics import (
     TimeWeightedHistogram,
 )
 from repro.obs.observer import NULL_OBS, NullObserver, Observer
-from repro.obs.perfetto import trace_events, validate_trace, write_trace
+from repro.obs.perfetto import (
+    load_observers,
+    trace_events,
+    validate_trace,
+    write_trace,
+)
 from repro.obs.replay import (
     Replay,
     ReplayFrame,
     replay_events,
     replay_observer,
     replay_store,
-    replays_from_perfetto,
 )
 from repro.obs.store import (
     TraceStoreReader,
@@ -101,6 +106,7 @@ __all__ = [
     "format_tenant_analysis",
     "git_revision",
     "jobs_from_tracer",
+    "load_observers",
     "load_tracer",
     "read_events",
     "read_footer",
@@ -110,7 +116,6 @@ __all__ = [
     "replay_events",
     "replay_observer",
     "replay_store",
-    "replays_from_perfetto",
     "scan_stores",
     "tenant_blame",
     "trace_events",

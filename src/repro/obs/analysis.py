@@ -10,8 +10,9 @@ attributions from recorded spans instead of hand-kept counters:
   (``Tracer.edge``) the simulators emit where nesting can't see the
   dependency (map output -> shuffle fetch, fetch -> copy phase, flow ->
   waiter, mapper barrier -> MPI-D recv, task -> job completion).  Builds
-  from a live :class:`~repro.obs.observer.Observer` or from a Perfetto
-  trace file written by :func:`~repro.obs.perfetto.write_trace`.
+  from a :class:`~repro.obs.tracer.SpanTracer`: a live run's, a trace
+  store's (:func:`~repro.obs.store.load_tracer`) or a Perfetto file's
+  (:func:`~repro.obs.perfetto.load_observers`).
 * :func:`critical_path` — the job's longest dependency chain, found by
   walking backwards from the job span's end and always descending into
   the *last-finishing* prerequisite.  The resulting segments tile the
@@ -30,15 +31,10 @@ attributions from recorded spans instead of hand-kept counters:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
-from repro.obs.observer import Observer
 from repro.obs.tracer import SpanTracer
-
-_US = 1e6
 
 #: Map a span to one of the paper's stages.  ``None`` means "inherit the
 #: enclosing stage" (net flows under a fetch are copy time; under output
@@ -113,7 +109,8 @@ class TraceDAG:
     # -- construction ----------------------------------------------------------
     @classmethod
     def from_tracer(cls, tracer: SpanTracer, name: str = "sim") -> "TraceDAG":
-        """Build from a live tracer; open spans close at the last time seen."""
+        """Build from a tracer (live, from a store or from a Perfetto
+        file); open spans close at the last time seen."""
         end = tracer.last_time()
         spans = [
             DagSpan(
@@ -130,53 +127,6 @@ class TraceDAG:
         ]
         return cls(spans, [(e.src, e.dst, e.kind) for e in tracer.edges], name=name)
 
-    @classmethod
-    def from_observer(cls, obs: Observer, name: str = "sim") -> "TraceDAG":
-        return cls.from_tracer(obs.tracer, name=name)
-
-    @classmethod
-    def from_trace_events(
-        cls, events: Iterable[dict], pid: int, name: str = "sim"
-    ) -> "TraceDAG":
-        """Rebuild one process's DAG from exported trace events.
-
-        Requires the ``sid``/``parent`` span args the exporter has
-        written since edges exist; older traces raise ``ValueError``.
-        """
-        tracks: dict[int, str] = {}
-        spans: list[DagSpan] = []
-        edges: list[tuple[int, int, str]] = []
-        for ev in events:
-            if ev.get("pid") != pid:
-                continue
-            ph = ev.get("ph")
-            if ph == "M" and ev.get("name") == "thread_name":
-                tracks[ev["tid"]] = ev["args"]["name"]
-            elif ph == "X":
-                args = ev.get("args", {})
-                if "sid" not in args:
-                    raise ValueError(
-                        "trace predates span-id export; re-capture it with "
-                        "`python -m repro trace` to analyze"
-                    )
-                t0 = ev["ts"] / _US
-                spans.append(
-                    DagSpan(
-                        args["sid"],
-                        args.get("parent", 0),
-                        ev.get("cat", ""),
-                        ev["name"],
-                        tracks.get(ev["tid"], str(ev["tid"])),
-                        t0,
-                        t0 + ev["dur"] / _US,
-                        args,
-                    )
-                )
-            elif ph == "s" and ev.get("cat") == "edge":
-                args = ev.get("args", {})
-                edges.append((args["src"], args["dst"], ev["name"]))
-        return cls(spans, edges, name=name)
-
     # -- queries ---------------------------------------------------------------
     def root(self) -> int:
         """The job span, or the longest top-level span as a fallback."""
@@ -192,31 +142,6 @@ class TraceDAG:
 
     def __len__(self) -> int:
         return len(self.spans)
-
-
-def load_trace(path: Union[str, Path, dict]) -> dict:
-    """Load a trace file (or pass a decoded dict straight through)."""
-    if isinstance(path, dict):
-        return path
-    with Path(path).open() as fh:
-        return json.load(fh)
-
-
-def dags_from_trace(data: Union[str, Path, dict]) -> dict[str, TraceDAG]:
-    """One :class:`TraceDAG` per process in an exported trace file."""
-    data = load_trace(data)
-    events = data.get("traceEvents", [])
-    names: dict[int, str] = {}
-    for ev in events:
-        if ev.get("ph") == "M" and ev.get("name") == "process_name":
-            names[ev["pid"]] = ev["args"]["name"]
-    out = {}
-    for pid in sorted(names):
-        name = names[pid]
-        dag = TraceDAG.from_trace_events(events, pid, name=name)
-        if len(dag):
-            out[name] = dag
-    return out
 
 
 # -- critical path --------------------------------------------------------------
@@ -349,7 +274,9 @@ def critical_path(
         best: Optional[DagSpan] = None
         for cid in candidates(sid):
             c = spans[cid]
-            if c.t1 <= t + eps and c.t1 > span.t0 + eps:
+            # A zero-length prerequisite owns no time, and descending
+            # into it would not lower this frame's time: skip it.
+            if c.t1 <= t + eps and c.t1 > span.t0 + eps and c.t1 - c.t0 > eps:
                 if best is None or (c.t1, c.sid) > (best.t1, best.sid):
                     best = c
         if best is None:

@@ -1,10 +1,12 @@
 """``python -m repro analyze <trace>`` — critical-path analysis of a trace.
 
 Takes a Perfetto trace written by ``python -m repro trace`` (or any
-:func:`repro.obs.perfetto.write_trace` output), **or a streamed
-``.jsonl`` trace store** (reconstructed exactly via
-:func:`repro.obs.store.load_tracer`), rebuilds the span DAG per
-simulated system, and reports:
+:func:`repro.obs.perfetto.write_trace` output, read back by
+:func:`repro.obs.perfetto.load_observers`), **or a streamed ``.jsonl``
+trace store** (reconstructed exactly via
+:func:`repro.obs.store.load_tracer`).  Either way every simulated system
+becomes one :class:`~repro.obs.tracer.SpanTracer`; the report rebuilds
+each one's span DAG and gives:
 
 * causal critical-path blame per stage (map/copy/sort/reduce/idle),
   guaranteed to sum to 100% of the makespan;
@@ -19,7 +21,7 @@ come from the trace's ``.manifest.json`` sidecar) and prints predicted
 vs measured.  Only the ``fig6`` Hadoop run is re-runnable this way.
 
 ``--tenants`` switches to the multi-tenant capacity analysis: the
-trace must be a ``.jsonl`` store from a
+trace, in either format, must come from a
 :class:`~repro.cluster.engine.MultiTenantEngine` run, and the report
 becomes per-tenant blame (queue-wait / preemption / shuffle / runtime)
 over every tenant's jobs (see :mod:`repro.obs.tenant_analysis`).
@@ -33,8 +35,33 @@ import argparse
 import json
 from pathlib import Path
 
-from repro.obs.analysis import analyze_dag, dags_from_trace, format_analysis
+from repro.obs.analysis import TraceDAG, analyze_dag, format_analysis
+from repro.obs.perfetto import load_observers
+from repro.obs.store import load_tracer, read_footer
+from repro.obs.tenant_analysis import analyze_tenants, format_tenant_analysis
+from repro.obs.tracer import SpanTracer
 from repro.util.units import parse_size
+
+
+def _tracers(path: Path) -> dict[str, SpanTracer]:
+    """``{system: tracer}`` of a ``.jsonl`` store or a Perfetto trace.
+
+    A store holds one system, named by its footer; a Perfetto trace
+    holds one per process.
+    """
+    if path.suffix == ".jsonl":
+        footer = read_footer(path) or {}
+        return {footer.get("system", "sim"): load_tracer(path)}
+    return {name: obs.tracer for name, obs in load_observers(path)}
+
+
+def _write_json(path: Path | None, payload: dict) -> None:
+    if path is None:
+        return
+    with path.open("w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def _load_manifest(trace_path: Path) -> dict:
@@ -115,67 +142,50 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--tenants",
         action="store_true",
-        help="per-tenant capacity analysis (.jsonl multi-tenant store)",
+        help="per-tenant capacity analysis (trace of a multi-tenant run)",
     )
     args = parser.parse_args(argv)
 
-    is_store = args.trace.suffix == ".jsonl"
+    tracers = _tracers(args.trace)
+    if args.system is not None:
+        if args.system not in tracers:
+            parser.error(
+                f"no process {args.system!r} in trace "
+                f"(have: {', '.join(sorted(tracers))})"
+            )
+        tracers = {args.system: tracers[args.system]}
 
     if args.tenants:
-        if not is_store:
+        runs = [
+            tracer for tracer in tracers.values()
+            if any(span.category.startswith("tenant.") for span in tracer.spans)
+        ]
+        if not runs:
             parser.error(
-                "--tenants needs a .jsonl trace store (multi-tenant runs "
-                "stream their traces; Perfetto exports lose the span args)"
+                f"{args.trace} has no tenant.* spans; --tenants needs a "
+                "multi-tenant run"
             )
-        from repro.obs.store import load_tracer
-        from repro.obs.tenant_analysis import (
-            analyze_tenants,
-            format_tenant_analysis,
-        )
-
-        tracer = load_tracer(args.trace)
-        report = analyze_tenants(tracer)
+        report = analyze_tenants(runs[0])
         print(format_tenant_analysis(report))
-        if args.json is not None:
-            with args.json.open("w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote {args.json}")
+        _write_json(args.json, report)
         return 0
 
     pcts = tuple(float(tok) / 100.0 for tok in args.pcts.split(",") if tok.strip())
-    if is_store:
-        from repro.obs.analysis import TraceDAG
-        from repro.obs.store import load_tracer, read_footer
-
-        footer = read_footer(args.trace)
-        system = (footer or {}).get("system", "sim")
-        tracer = load_tracer(args.trace)
-        dags = {system: TraceDAG.from_tracer(tracer, system)}
-    else:
-        dags = dags_from_trace(args.trace)
-    if args.system is not None:
-        if args.system not in dags:
-            parser.error(
-                f"no process {args.system!r} in trace "
-                f"(have: {', '.join(sorted(dags))})"
-            )
-        dags = {args.system: dags[args.system]}
+    dags = {
+        name: TraceDAG.from_tracer(tracer, name)
+        for name, tracer in sorted(tracers.items())
+        if len(tracer)
+    }
     if not dags:
         parser.error(f"{args.trace} contains no spans")
 
     reports = {}
-    for name in sorted(dags):
-        report = analyze_dag(dags[name], top=args.top, pcts=pcts)
+    for name, dag in dags.items():
+        report = analyze_dag(dag, top=args.top, pcts=pcts)
         reports[name] = report
         print(format_analysis(report))
         print()
-
-    if args.json is not None:
-        with args.json.open("w") as fh:
-            json.dump(reports, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.json}")
+    _write_json(args.json, reports)
 
     if args.validate:
         return _validate(args.trace, dags, args.validate_pct)

@@ -20,6 +20,11 @@ https://ui.perfetto.dev load directly: a JSON object with a
 Spans still open at export time (a task killed by fault injection) are
 closed at the trace's final timestamp and flagged ``"unfinished"`` —
 Perfetto has no notion of a half-open complete event.
+
+:func:`load_observers` is the inverse of :func:`write_trace`: it reads a
+trace file back into one :class:`~repro.obs.observer.Observer` per
+process, so every reader (critical-path analysis, tenant analysis,
+replay) works on the same objects a live run produces.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from typing import Iterable, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import Gauge
 from repro.obs.observer import Observer
+from repro.obs.tracer import Edge, Instant, Span
 
 #: Simulated seconds -> trace microseconds.
 _US = 1e6
@@ -191,6 +197,69 @@ def write_trace(
     with path.open("w") as fh:
         json.dump(trace_dict(observers, manifest=manifest), fh)
     return path
+
+
+def load_observers(
+    source: Union[dict, str, Path],
+) -> list[tuple[str, Observer]]:
+    """Read a trace file (or its :func:`trace_dict`) back into observers.
+
+    Returns ``[(process name, Observer)]`` in pid order, the shape
+    :func:`write_trace` takes.  Each simulator-less observer holds the
+    process's spans (ids, parents, tracks and args as recorded), edges,
+    instants and gauge samples; counters and histograms are not in the
+    file.  Times are the file's microseconds over 1e6, so they match
+    the recorded seconds to within that rounding.  A span the export
+    flagged ``unfinished`` comes back closed at the trace's end.
+    """
+    if not isinstance(source, dict):
+        with Path(source).open() as fh:
+            source = json.load(fh)
+    processes: dict[int, tuple[str, Observer]] = {}
+    tracks: dict[tuple[int, int], str] = {}
+    # One pass suffices: the writer names each process and track before
+    # any event uses it.
+    for ev in source.get("traceEvents", ()):
+        ph, pid = ev["ph"], ev["pid"]
+        if ph == "M":
+            if ev["name"] == "process_name":
+                processes[pid] = (ev["args"]["name"], Observer())
+            else:
+                tracks[(pid, ev["tid"])] = ev["args"]["name"]
+            continue
+        if ph == "f":
+            continue  # the flow's finish half; its "s" carries the edge
+        obs = processes[pid][1]
+        t = ev["ts"] / _US
+        args = dict(ev["args"])
+        if ph == "X":
+            sid = args.pop("sid", None)
+            if sid is None:
+                raise ValueError(
+                    "trace predates span-id export; re-capture it with "
+                    "`python -m repro trace` to analyze"
+                )
+            spans = obs.tracer.spans
+            if sid != len(spans) + 1:
+                raise ValueError(f"trace corrupt: span {sid} after {len(spans)}")
+            parent = args.pop("parent")
+            args.pop("unfinished", None)
+            track = tracks[(pid, ev["tid"])]
+            spans.append(Span(sid, parent, ev["cat"], ev["name"], track, t,
+                              t + ev["dur"] / _US, args))
+        elif ph == "s":
+            src, dst = args.pop("src"), args.pop("dst")
+            obs.tracer.edges.append(Edge(src, dst, ev["name"], t, args))
+        elif ph == "i":
+            obs.tracer.instants.append(
+                Instant(t, ev["cat"], ev["name"], tracks[(pid, ev["tid"])], args)
+            )
+        else:  # "C": one gauge sample
+            gauge = obs.metrics.gauge(ev["name"])
+            for value in args.values():
+                gauge.samples.append((t, value))
+                gauge.value = value
+    return [processes[pid] for pid in sorted(processes)]
 
 
 _REQUIRED_BY_PHASE = {

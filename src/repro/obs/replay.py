@@ -359,12 +359,16 @@ def replay_events(
         "end": fold.on_end,
         "instant": fold.on_instant,
         "sample": fold.on_sample,
-        "edge": lambda ev: None,
     }
     for ev in events:
+        kind = ev["k"]
+        if kind == "edge":
+            # Edges change no folded state; advancing the clock to one
+            # would only split the time-weighted sums at its time.
+            continue
         t = ev.get("t0", ev.get("t1", ev.get("t", fold.last_t)))
         fold.advance(t)
-        handlers[ev["k"]](ev)
+        handlers[kind](ev)
     if fold.t_end > fold.last_t:
         fold.advance(fold.t_end)
 
@@ -488,81 +492,3 @@ def replay_store(
         buckets=buckets,
         **kw,
     )
-
-
-def replays_from_perfetto(
-    source: Union[str, Path, dict], buckets: int = 120, **kw
-) -> dict[str, Replay]:
-    """Replay every process of a Perfetto ``trace_event`` JSON file.
-
-    Convenience for existing ``trace.json`` artifacts: the whole file is
-    loaded and re-sorted (the streaming-memory guarantee belongs to the
-    JSONL store, not to this path).  Span ids come from the exporter's
-    ``args.sid``; thread names recover the tracks.
-    """
-    import json as _json
-
-    if not isinstance(source, dict):
-        with Path(source).open() as fh:
-            source = _json.load(fh)
-    by_pid: dict[int, list[tuple[float, int, dict]]] = {}
-    names: dict[int, str] = {}
-    tracks: dict[tuple[int, int], str] = {}
-    seq = 0
-    for ev in source.get("traceEvents", ()):
-        ph, pid = ev.get("ph"), ev.get("pid", 0)
-        seq += 1
-        if ph == "M":
-            if ev["name"] == "process_name":
-                names[pid] = ev["args"]["name"]
-            elif ev["name"] == "thread_name":
-                tracks[(pid, ev["tid"])] = ev["args"]["name"]
-            continue
-        t = ev.get("ts", 0) / 1e6
-        out = by_pid.setdefault(pid, [])
-        if ph == "X":
-            args = dict(ev.get("args") or {})
-            sid = args.pop("sid", None)
-            parent = args.pop("parent", 0)
-            args.pop("unfinished", None)
-            if sid is None:
-                continue
-            t1 = t + ev.get("dur", 0) / 1e6
-            track = tracks.get((pid, ev.get("tid", 0)), "")
-            out.append(
-                (
-                    t,
-                    2 * sid,
-                    {"k": "begin", "sid": sid, "parent": parent,
-                     "cat": ev.get("cat", ""), "name": ev["name"],
-                     "track": track, "t0": t, "args": args},
-                )
-            )
-            out.append(
-                (t1, 2 * sid + 1, {"k": "end", "sid": sid, "t1": t1, "args": {}})
-            )
-        elif ph == "i":
-            out.append(
-                (
-                    t,
-                    1 << 40,
-                    {"k": "instant", "t": t, "cat": ev.get("cat", ""),
-                     "name": ev["name"], "track": "", "args": dict(ev.get("args") or {})},
-                )
-            )
-        elif ph == "C":
-            for key, v in (ev.get("args") or {}).items():
-                out.append(
-                    (t, (1 << 40) + seq,
-                     {"k": "sample", "m": f"{ev['name']}", "t": t, "v": v})
-                )
-    replays: dict[str, Replay] = {}
-    for pid, keyed in sorted(by_pid.items()):
-        keyed.sort(key=lambda kv: (kv[0], kv[1]))
-        t_end = max((kv[0] for kv in keyed), default=0.0)
-        name = names.get(pid, f"pid{pid}")
-        replays[name] = replay_events(
-            (ev for _, _, ev in keyed), t_end, system=name,
-            buckets=buckets, **kw
-        )
-    return replays

@@ -12,7 +12,9 @@ The target decides where the events come from:
   flags as ``repro trace``, and replay the live observers;
 * ``*.jsonl`` — a streamed trace store written by ``repro trace
   --stream`` (read chunked; memory stays O(chunk), not O(trace));
-* ``*.json``  — an existing Perfetto ``trace_event`` export;
+* ``*.json``  — an existing Perfetto ``trace_event`` export, read back
+  into observers (:func:`repro.obs.perfetto.load_observers`) and
+  replayed like a live run;
 * ``sweep``   — no replay at all: build the cross-run sweep browser
   from the ``results/`` CSV/JSON exports;
 * ``fleet <dir>`` — aggregate every closed ``.jsonl`` store under the
@@ -152,16 +154,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wrote {out} — open it in a browser")
         return 0
 
-    from repro.obs.replay import replay_store, replays_from_perfetto
+    from repro.obs.perfetto import load_observers
+    from repro.obs.replay import replay_observer, replay_store
 
     target = args.target
     if target.endswith(".jsonl"):
         r = replay_store(target, buckets=args.buckets)
         replays = [(r.system, r)]
     elif target.endswith(".json"):
-        replays = sorted(
-            replays_from_perfetto(target, buckets=args.buckets).items()
-        )
+        replays = [
+            (name, replay_observer(obs, system=name, buckets=args.buckets))
+            for name, obs in load_observers(target)
+            if len(obs.tracer)
+        ]
         if not replays:
             parser.error(f"{target}: no replayable processes found")
     else:

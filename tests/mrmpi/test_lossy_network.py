@@ -11,7 +11,7 @@ from repro.mrmpi import (
     MrMpiConfig,
     MrMpiSimulation,
     run_mpid_job,
-    run_mpid_job_under_net_faults,
+    run_mpid_job_resubmitted,
 )
 from repro.simnet.faults import FaultPlan, FlowLossRate, NodeCrash
 from repro.util.units import GiB
@@ -75,7 +75,7 @@ class TestReliableTransport:
 
 class TestRestartLoop:
     def test_baseline_restarts_until_a_clean_attempt(self):
-        out = run_mpid_job_under_net_faults(
+        out = run_mpid_job_resubmitted(
             _spec(), _HEAVY_LOSS, config=MrMpiConfig(max_restarts=100)
         )
         assert out.restarts > 0
@@ -86,7 +86,7 @@ class TestRestartLoop:
             assert math.isinf(out.elapsed)
 
     def test_restart_budget_exhaustion_is_a_dnf(self):
-        out = run_mpid_job_under_net_faults(
+        out = run_mpid_job_resubmitted(
             _spec(), _HEAVY_LOSS, config=MrMpiConfig(max_restarts=1)
         )
         assert not out.completed
@@ -96,7 +96,7 @@ class TestRestartLoop:
 
     def test_restart_loop_is_deterministic(self):
         def once():
-            out = run_mpid_job_under_net_faults(
+            out = run_mpid_job_resubmitted(
                 _spec(), _HEAVY_LOSS, config=MrMpiConfig(max_restarts=3)
             )
             return (
@@ -110,7 +110,7 @@ class TestRestartLoop:
         assert once() == once()
 
     def test_reliable_transport_usually_skips_the_restart_loop(self):
-        out = run_mpid_job_under_net_faults(
+        out = run_mpid_job_resubmitted(
             _spec(),
             _HEAVY_LOSS,
             config=MrMpiConfig(max_restarts=100, reliable_transport=True),
@@ -125,7 +125,7 @@ class TestRestartLoop:
         quiet = FaultPlan(
             specs=(FlowLossRate(rate=1e-6, duration=0.001),), seed=2011
         )
-        out = run_mpid_job_under_net_faults(_spec(), quiet)
+        out = run_mpid_job_resubmitted(_spec(), quiet)
         assert out.restarts == 0
         assert out.flows_lost == 0
         assert out.elapsed == out.clean_elapsed

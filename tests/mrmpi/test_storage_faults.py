@@ -4,7 +4,7 @@ failover while copies survive, permanent DNF when the last one dies."""
 import math
 
 from repro.hadoop.job import JAVASORT_PROFILE, JobSpec
-from repro.mrmpi import MrMpiConfig, run_mpid_job_under_storage_faults
+from repro.mrmpi import MrMpiConfig, run_mpid_job_resubmitted
 from repro.simnet.faults import (
     BlockCorruption,
     Decommission,
@@ -27,7 +27,7 @@ def _disk_plan(rate_per_hour, seed=2011):
 class TestPermanentDataLoss:
     def test_unreplicated_input_disk_death_is_a_permanent_dnf(self):
         cfg = MrMpiConfig(input_replication=1)
-        m = run_mpid_job_under_storage_faults(
+        m = run_mpid_job_resubmitted(
             _spec(), _disk_plan(rate_per_hour=60.0), config=cfg
         )
         assert not m.completed
@@ -39,7 +39,7 @@ class TestPermanentDataLoss:
 
     def test_replicated_input_survives_the_same_plan(self):
         plan = _disk_plan(rate_per_hour=60.0)
-        m = run_mpid_job_under_storage_faults(
+        m = run_mpid_job_resubmitted(
             _spec(), plan, config=MrMpiConfig(input_replication=3)
         )
         assert m.completed
@@ -50,7 +50,7 @@ class TestPermanentDataLoss:
 class TestReadFailover:
     def test_corruption_fails_over_at_remote_read_cost(self):
         plan = FaultPlan(specs=(BlockCorruption(rate=0.5),), seed=2011)
-        m = run_mpid_job_under_storage_faults(
+        m = run_mpid_job_resubmitted(
             _spec(), plan, config=MrMpiConfig(input_replication=3)
         )
         assert m.completed
@@ -63,7 +63,7 @@ class TestCleanPathParity:
         # Storage machinery fully built, zero events fired: the run must
         # cost exactly what the clean run costs.
         plan = FaultPlan(specs=(Decommission(node=1, at=1e9),), seed=2011)
-        m = run_mpid_job_under_storage_faults(
+        m = run_mpid_job_resubmitted(
             _spec(), plan, config=MrMpiConfig(input_replication=3)
         )
         assert m.completed
@@ -75,12 +75,12 @@ class TestDeterminism:
     def test_same_plan_same_summary(self):
         plan = _disk_plan(rate_per_hour=240.0)
         cfg = MrMpiConfig(input_replication=2)
-        a = run_mpid_job_under_storage_faults(_spec(), plan, config=cfg)
-        b = run_mpid_job_under_storage_faults(_spec(), plan, config=cfg)
+        a = run_mpid_job_resubmitted(_spec(), plan, config=cfg)
+        b = run_mpid_job_resubmitted(_spec(), plan, config=cfg)
         assert a.summary() == b.summary()
 
     def test_summary_carries_storage_fields(self):
-        m = run_mpid_job_under_storage_faults(
+        m = run_mpid_job_resubmitted(
             _spec(),
             _disk_plan(rate_per_hour=60.0),
             config=MrMpiConfig(input_replication=1),

@@ -6,7 +6,6 @@ from repro.obs.analysis import (
     STAGES,
     TraceDAG,
     critical_path,
-    dags_from_trace,
     phase_breakdown,
     span_slack,
     stage_of,
@@ -14,8 +13,15 @@ from repro.obs.analysis import (
     what_if_table,
 )
 from repro.obs.observer import Observer
-from repro.obs.perfetto import trace_events
+from repro.obs.perfetto import load_observers, trace_dict, trace_events
 from repro.obs.tracer import NULL_TRACER, SpanTracer, TraceError
+
+
+def _reloaded(obs, name):
+    """The DAG of ``obs`` after a trip through a Perfetto trace."""
+    ((loaded_name, loaded),) = load_observers(trace_dict([(name, obs)]))
+    assert loaded_name == name
+    return TraceDAG.from_tracer(loaded.tracer, name=name)
 
 
 class Clock:
@@ -162,6 +168,19 @@ class TestCriticalPath:
         cp = critical_path(TraceDAG.from_tracer(tracer))
         assert cp.blame() == {"idle": pytest.approx(5.0)}
 
+    def test_zero_length_child_does_not_stall_the_walk(self, clock, tracer):
+        # A job dispatched the instant it was queued leaves a zero-length
+        # span ending inside its parent; descending into it moves the walk
+        # no further back, so picking it must not stall the walk.
+        root = tracer.begin("hadoop.job", "job", track="t")
+        clock.t = 5.0
+        tracer.end(tracer.begin("tenant.queue", "q", track="t"))
+        clock.t = 10.0
+        tracer.end(root)
+        cp = critical_path(TraceDAG.from_tracer(tracer))
+        assert cp.blame() == {"idle": pytest.approx(10.0)}
+        assert sum(cp.blame_pct().values()) == pytest.approx(100.0)
+
 
 class TestSlack:
     def test_critical_spans_have_zero_slack(self, clock, tracer):
@@ -209,7 +228,7 @@ class TestWhatIf:
 
 
 class TestRoundTrip:
-    """Tracer -> Perfetto JSON -> DAG must be lossless for analysis."""
+    """Tracer -> Perfetto JSON -> observer -> DAG must be lossless for analysis."""
 
     def _observer(self):
         clock = Clock()
@@ -243,10 +262,8 @@ class TestRoundTrip:
         obs.tracer.edge(a, b, "avail")
         clock.t = 5.0
         obs.tracer.end(b)
-        live = TraceDAG.from_observer(obs, name="sys")
-        rebuilt = dags_from_trace(
-            {"traceEvents": trace_events(obs, pid_name="sys")}
-        )["sys"]
+        live = TraceDAG.from_tracer(obs.tracer, name="sys")
+        rebuilt = _reloaded(obs, "sys")
         assert set(rebuilt.spans) == set(live.spans)
         for sid, span in live.spans.items():
             other = rebuilt.spans[sid]
@@ -279,7 +296,7 @@ class TestMinimalHadoopJob:
 
     def test_dag_has_both_maps_and_the_reduce(self, job):
         sim, _metrics = job
-        dag = TraceDAG.from_observer(sim.obs, name="hadoop")
+        dag = TraceDAG.from_tracer(sim.obs.tracer, name="hadoop")
         maps = [
             s for s in dag.spans.values()
             if s.category == "hadoop.map" and s.parent == 0
@@ -293,7 +310,7 @@ class TestMinimalHadoopJob:
 
     def test_shuffle_edges_link_maps_to_fetches(self, job):
         sim, _metrics = job
-        dag = TraceDAG.from_observer(sim.obs, name="hadoop")
+        dag = TraceDAG.from_tracer(sim.obs.tracer, name="hadoop")
         shuffle = [e for e in dag.edges if e[2] == "shuffle"]
         assert len(shuffle) == 2  # one per map output
         for src, dst, _kind in shuffle:
@@ -302,13 +319,13 @@ class TestMinimalHadoopJob:
 
     def test_blame_sums_to_100(self, job):
         sim, _metrics = job
-        cp = critical_path(TraceDAG.from_observer(sim.obs, name="hadoop"))
+        cp = critical_path(TraceDAG.from_tracer(sim.obs.tracer, name="hadoop"))
         assert sum(cp.blame_pct().values()) == pytest.approx(100.0)
         assert set(cp.blame()) <= set(STAGES)
 
     def test_phase_breakdown_matches_job_metrics(self, job):
         sim, metrics = job
-        pb = phase_breakdown(TraceDAG.from_observer(sim.obs, name="hadoop"))
+        pb = phase_breakdown(TraceDAG.from_tracer(sim.obs.tracer, name="hadoop"))
         assert pb["system"] == "hadoop"
         assert pb["copy_pct"] == pytest.approx(
             100.0 * metrics.copy_fraction, abs=0.1
@@ -316,10 +333,8 @@ class TestMinimalHadoopJob:
 
     def test_perfetto_round_trip_keeps_the_critical_path(self, job):
         sim, _metrics = job
-        live = TraceDAG.from_observer(sim.obs, name="hadoop")
-        rebuilt = dags_from_trace(
-            {"traceEvents": trace_events(sim.obs, pid_name="hadoop")}
-        )["hadoop"]
+        live = TraceDAG.from_tracer(sim.obs.tracer, name="hadoop")
+        rebuilt = _reloaded(sim.obs, "hadoop")
         b1 = critical_path(live).blame()
         b2 = critical_path(rebuilt).blame()
         assert set(b1) == set(b2)

@@ -93,3 +93,44 @@ class TestAnalyzeStore:
     def test_tenants_mode_rejects_perfetto_traces(self, fig6_trace):
         with pytest.raises(SystemExit):
             analyze_main([str(fig6_trace), "--tenants"])
+
+
+@pytest.fixture(scope="module")
+def tenants_run(tmp_path_factory):
+    """A multi-tenant trace in both formats.  At this horizon some jobs
+    are dispatched the instant they are queued (zero-length spans)."""
+    out = tmp_path_factory.mktemp("tenants")
+    assert trace_main(
+        ["tenants", "--horizon", "100", "--stream", "--out-dir", str(out)]
+    ) == 0
+    return out / "trace.json", out / "tenants.tenants-2x-fair.store.jsonl"
+
+
+class TestAnalyzeTenantsTrace:
+    def test_critical_path_walk_finishes(self, tenants_run, tmp_path):
+        for trace in tenants_run:
+            report_path = tmp_path / f"{trace.name}.report.json"
+            assert analyze_main([str(trace), "--json", str(report_path)]) == 0
+            (report,) = json.loads(report_path.read_text()).values()
+            pcts = report["critical_path"]["blame_pct"]
+            assert sum(pcts.values()) == pytest.approx(100.0), trace.name
+
+    def test_tenants_mode_reads_perfetto_traces(self, tenants_run, tmp_path):
+        reports = []
+        for trace in tenants_run:
+            report_path = tmp_path / f"{trace.name}.tenants.json"
+            assert analyze_main(
+                [str(trace), "--tenants", "--json", str(report_path)]
+            ) == 0
+            reports.append(json.loads(report_path.read_text()))
+        from_trace, from_store = reports
+        assert from_trace["jobs"] == from_store["jobs"] > 0
+        assert set(from_trace["tenants"]) == set(from_store["tenants"])
+        for tenant, entry in from_store["tenants"].items():
+            other = from_trace["tenants"][tenant]
+            assert other["jobs"] == entry["jobs"]
+            assert other["completed"] == entry["completed"]
+            for bucket, seconds in entry["blame_seconds"].items():
+                assert other["blame_seconds"][bucket] == pytest.approx(
+                    seconds, rel=1e-9
+                ), (tenant, bucket)

@@ -1,4 +1,4 @@
-"""Tests for the Chrome/Perfetto trace_event exporter and validator."""
+"""Tests for the Chrome/Perfetto trace_event exporter, reader and validator."""
 
 import json
 
@@ -8,6 +8,7 @@ from repro.obs.manifest import RunManifest
 from repro.obs.observer import Observer
 from repro.obs.perfetto import (
     categories_in,
+    load_observers,
     trace_dict,
     trace_events,
     validate_trace,
@@ -98,6 +99,64 @@ class TestTraceDict:
         d = trace_dict(observed, manifest=manifest)
         assert d["otherData"]["experiment"] == "fig6"
         json.dumps(d)  # the whole dict must be JSON-serializable
+
+
+@pytest.fixture
+def linked():
+    """A finished job: nested spans with end args, an edge, an instant
+    and a gauge, at times the microsecond conversion keeps exact."""
+    clock = Clock()
+    obs = Observer(clock=clock)
+    job = obs.tracer.begin("hadoop.job", "wc", track="job")
+    m = obs.tracer.begin("hadoop.map", "map0", track="attempt0", node=3)
+    clock.t = 1.5
+    obs.tracer.end(m, won=True)
+    r = obs.tracer.begin("hadoop.reduce", "copy", parent=job)
+    obs.tracer.edge(m, r, "shuffle", nbytes=10)
+    obs.tracer.instant("fault", "crash node3", track="faults", node=3)
+    obs.metrics.gauge("slots.in_use").set(1)
+    clock.t = 4.0
+    obs.metrics.gauge("slots.in_use").set(0)
+    obs.tracer.end(r)
+    obs.tracer.end(job)
+    return obs
+
+
+class TestLoadObservers:
+    def test_processes_come_back_in_pid_order(self, linked):
+        loaded = load_observers(trace_dict([("mpid", linked), ("hadoop", linked)]))
+        assert [name for name, _ in loaded] == ["mpid", "hadoop"]
+        assert all(obs.sim is None for _, obs in loaded)
+
+    def test_spans_edges_instants_and_gauges_round_trip(self, linked, tmp_path):
+        path = write_trace([("hadoop", linked)], tmp_path / "trace.json")
+        ((name, obs),) = load_observers(path)
+        assert name == "hadoop"
+        assert obs.tracer.spans == linked.tracer.spans
+        assert obs.tracer.instants == linked.tracer.instants
+        assert [(e.src, e.dst, e.kind, e.args) for e in obs.tracer.edges] == [
+            (2, 3, "shuffle", {"nbytes": 10})
+        ]
+        assert obs.metrics.names() == ["slots.in_use"]
+        assert obs.metrics.gauge("slots.in_use").samples == [(1.5, 1.0), (4.0, 0.0)]
+
+    def test_reexport_writes_the_same_trace(self, linked):
+        original = trace_dict([("hadoop", linked)])
+        assert trace_dict(load_observers(original)) == original
+
+    def test_unfinished_span_comes_back_closed_at_the_trace_end(self, observed):
+        ((_, obs),) = load_observers(trace_dict(observed))
+        map0 = obs.tracer.spans[1]
+        assert (map0.name, map0.t0, map0.t1, map0.args) == ("map0", 2.0, 3.0, {})
+        assert obs.tracer.open_spans() == []
+
+    def test_trace_without_span_ids_is_refused(self, observed):
+        events = trace_events(observed)
+        for ev in events:
+            if ev["ph"] == "X":
+                del ev["args"]["sid"]
+        with pytest.raises(ValueError, match="span-id"):
+            load_observers({"traceEvents": events})
 
 
 class TestValidateTrace:

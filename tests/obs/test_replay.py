@@ -22,7 +22,6 @@ from repro.obs.replay import (
     replay_events,
     replay_observer,
     replay_store,
-    replays_from_perfetto,
 )
 
 
@@ -219,6 +218,21 @@ class TestSyntheticFolds:
         assert len(r.frames[0].samples) == 3
         assert len(r.samples_dropped) == 7
 
+    def test_edges_leave_the_frames_untouched(self):
+        span = [
+            {"k": "begin", "sid": 1, "parent": 0, "cat": "hadoop.map",
+             "name": "map0", "track": "a", "t0": 0.2, "args": {"node": 1}},
+            {"k": "end", "sid": 1, "t1": 1.0, "args": {}},
+        ]
+        edge = {"k": "edge", "src": 1, "dst": 2, "kind": "dep", "t": 0.9,
+                "args": {}}
+        plain = replay_events(span, t_end=1.0, buckets=1)
+        with_edge = replay_events([span[0], edge, span[1]], t_end=1.0, buckets=1)
+        # (0.9 - 0.2) + (1.0 - 0.9) is not 1.0 - 0.2 in floats: a fold
+        # that moved its clock to the edge would split the sum.
+        assert with_edge.to_dict() == plain.to_dict()
+        assert plain.frames[0].node_map == {"node1": 0.8}
+
 
 class TestPerfettoReplay:
     def test_trace_json_replays_per_process(self, tmp_path):
@@ -227,7 +241,12 @@ class TestPerfettoReplay:
         trace = tmp_path / "t.json"
         assert trace_main(["fig6", "--size", "64MB",
                            "--trace-out", str(trace)]) == 0
-        replays = replays_from_perfetto(trace, buckets=30)
+        from repro.obs.perfetto import load_observers
+
+        replays = {
+            name: replay_observer(obs, system=name, buckets=30)
+            for name, obs in load_observers(trace)
+        }
         assert set(replays) == {"hadoop", "mpid"}
         for r in replays.values():
             assert r.spans_seen > 0

@@ -244,13 +244,13 @@ class TestStorageStreamIsolation:
 
     def test_mpid_network_fault_summary_unperturbed(self):
         from repro.hadoop.job import JAVASORT_PROFILE, JobSpec
-        from repro.mrmpi import MrMpiConfig, run_mpid_job_under_net_faults
+        from repro.mrmpi import MrMpiConfig, run_mpid_job_resubmitted
         from repro.util.units import MiB
 
         spec = JobSpec("sort", input_bytes=640 * MiB, profile=JAVASORT_PROFILE)
         cfg = MrMpiConfig(max_restarts=25)
         net = FaultPlan(specs=(FlowLossRate(rate=0.05),), seed=2011)
         both = FaultPlan(specs=net.specs + self.DORMANT, seed=2011)
-        a = run_mpid_job_under_net_faults(spec, net, config=cfg)
-        b = run_mpid_job_under_net_faults(spec, both, config=cfg)
+        a = run_mpid_job_resubmitted(spec, net, config=cfg)
+        b = run_mpid_job_resubmitted(spec, both, config=cfg)
         assert a.summary() == b.summary()
