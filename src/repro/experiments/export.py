@@ -388,7 +388,7 @@ def obs_metrics_csv(observer) -> tuple[list[str], list[list]]:
 
 
 def obs_metrics_json(observer) -> dict:
-    """Full metric dump (counters, gauges, histogram aggregates)."""
+    """Full metric dump (counters and histogram aggregates)."""
     return observer.metrics.to_dict()
 
 

@@ -1,11 +1,13 @@
-"""What-if: InfiniBand and SSDs under MPI-D (paper future work (4)).
+"""What-if: faster fabrics and SSDs under MPI-D (paper future work (4)).
 
-The paper's future work points at "high performance interconnects such
-as the Infiniband", and its Related Work cites Sur et al., who found IB
+The paper's future work points at "high performance interconnects",
+IB among them, and its Related Work cites Sur et al., who found IB
 helps HDFS "with or without Solid State Drives" — storage and fabric
 are coupled bottlenecks.  This experiment re-prices a shuffle-heavy
 JavaSort on the MPI-D system across a fabric × storage grid (GigE /
-10 GigE / IB DDR × one 2010 SATA disk / SSD), holding CPUs fixed.
+10 GigE / IB DDR × one 2010 SATA disk / SSD), holding CPUs fixed.  A
+fabric is its link bandwidth and latency (:data:`FABRICS`); every send
+is still priced by the MPICH model.
 
 The measured structure is instructive: SSDs halve the job (the disk
 was the bottleneck), but the fabric upgrade moves almost nothing even

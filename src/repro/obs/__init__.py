@@ -6,9 +6,9 @@ the :class:`~repro.simnet.kernel.Simulator` they already hold:
 * :class:`SpanTracer` — span-based tracing with explicit span IDs,
   nesting and categories (kernel events, network transfers, transport
   sends, map/reduce phases, MPI-D phases, fault injections);
-* :class:`MetricsRegistry` — counters, gauges and time-weighted
-  histograms sampled in *simulated* time (link utilization, queue
-  depths, slot occupancy, bytes shuffled);
+* :class:`MetricsRegistry` — counters and time-weighted histograms
+  sampled in *simulated* time (link utilization, queue depths, slot
+  occupancy, bytes shuffled);
 * exporters — Chrome/Perfetto ``trace_event`` JSON
   (:func:`trace_events` / :func:`write_trace`, read back into observers
   by :func:`load_observers`), an ASCII Gantt renderer
@@ -40,7 +40,6 @@ from repro.obs.gantt import ascii_gantt
 from repro.obs.manifest import RunManifest, build_manifest, config_hash, git_revision
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     MetricsRegistry,
     TimeWeightedHistogram,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "Counter",
     "Edge",
     "FleetSummary",
-    "Gauge",
     "Instant",
     "MetricsRegistry",
     "NULL_OBS",

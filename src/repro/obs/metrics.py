@@ -1,11 +1,9 @@
-"""Metrics sampled in simulated time: counters, gauges, time-weighted stats.
+"""Metrics sampled in simulated time: counters and time-weighted stats.
 
-Three metric kinds cover what the simulators need to report:
+Two metric kinds cover what the simulators need to report:
 
 * :class:`Counter` — monotonically accumulated totals (bytes shuffled,
   heartbeats sent, messages injected);
-* :class:`Gauge` — a sampled time series of (time, value) points, the
-  shape Chrome's counter tracks (``"ph": "C"``) render;
 * :class:`TimeWeightedHistogram` — statistics of a piecewise-constant
   signal weighted by how long each value held: link active-flow counts,
   slot occupancy, device queue depths.  ``set(3)`` at t=2 then ``set(0)``
@@ -21,7 +19,6 @@ simulator events, so measurement cannot perturb the simulation.  The
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from typing import Callable, Optional, Sequence
 
 
@@ -43,46 +40,12 @@ class Counter:
         return {"type": "counter", "value": self.value, "events": self.events}
 
 
-class Gauge:
-    """A sampled time series; keeps every (time, value) transition."""
-
-    __slots__ = ("name", "_clock", "_sink", "value", "samples")
-
-    def __init__(
-        self,
-        name: str,
-        clock: Callable[[], float],
-        sink: Optional[list] = None,
-    ):
-        self.name = name
-        self._clock = clock
-        self._sink = sink if sink is not None else [None]
-        self.value = 0.0
-        self.samples: list[tuple[float, float]] = []
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
-        t = self._clock()
-        self.samples.append((t, self.value))
-        if self._sink[0] is not None:
-            self._sink[0].on_sample(self.name, t, self.value)
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "gauge",
-            "value": self.value,
-            "samples": len(self.samples),
-            "max": max((v for _, v in self.samples), default=0.0),
-        }
-
-
 class TimeWeightedHistogram:
     """Time-weighted statistics of a piecewise-constant signal.
 
     The signal starts at 0 at construction time.  ``set``/``add`` move
     it; every moment between transitions is credited to the value that
-    held.  Optional ``bounds`` add a duration histogram: ``bounds=(1, 4)``
-    tracks seconds spent in value ranges [0,1), [1,4), [4,inf).
+    held.
     """
 
     __slots__ = (
@@ -96,8 +59,6 @@ class TimeWeightedHistogram:
         "sq_integral",
         "vmin",
         "vmax",
-        "bounds",
-        "bucket_seconds",
         "value_seconds",
         "transitions",
     )
@@ -106,7 +67,6 @@ class TimeWeightedHistogram:
         self,
         name: str,
         clock: Callable[[], float],
-        bounds: Sequence[float] = (),
         sink: Optional[list] = None,
     ):
         self.name = name
@@ -118,8 +78,6 @@ class TimeWeightedHistogram:
         self.sq_integral = 0.0
         self.vmin = 0.0
         self.vmax = 0.0
-        self.bounds = tuple(sorted(bounds))
-        self.bucket_seconds = [0.0] * (len(self.bounds) + 1)
         #: Seconds the signal spent at each exact value — the full
         #: time-weighted distribution that :meth:`percentiles` reads.
         #: Bounded by the number of *distinct* values, which for the
@@ -133,7 +91,6 @@ class TimeWeightedHistogram:
         if dt > 0:
             self.integral += self.value * dt
             self.sq_integral += self.value * self.value * dt
-            self.bucket_seconds[bisect_right(self.bounds, self.value)] += dt
             self.value_seconds[self.value] = (
                 self.value_seconds.get(self.value, 0.0) + dt
             )
@@ -164,15 +121,6 @@ class TimeWeightedHistogram:
             return self.value
         tail = self.value * max(0.0, now - self._t)
         return (self.integral + tail) / span
-
-    def distribution(self, until: Optional[float] = None) -> list[tuple[str, float]]:
-        """Seconds spent per value bucket (only useful with ``bounds``)."""
-        self._accumulate(until)
-        edges = ["-inf", *[f"{b:g}" for b in self.bounds], "+inf"]
-        return [
-            (f"[{edges[i]}, {edges[i + 1]})", self.bucket_seconds[i])
-            for i in range(len(self.bucket_seconds))
-        ]
 
     def percentiles(
         self,
@@ -210,7 +158,7 @@ class TimeWeightedHistogram:
 
     def to_dict(self, until: Optional[float] = None) -> dict:
         pct = self.percentiles(until=until)
-        out = {
+        return {
             "type": "histogram",
             "mean": self.mean(until),
             "min": self.vmin,
@@ -229,11 +177,6 @@ class TimeWeightedHistogram:
                 repr(v): s for v, s in sorted(self.value_seconds.items())
             },
         }
-        if self.bounds:
-            out["bucket_seconds"] = {
-                label: secs for label, secs in self.distribution(until)
-            }
-        return out
 
 
 class MetricsRegistry:
@@ -241,7 +184,7 @@ class MetricsRegistry:
 
     ``sample_sink`` (default None) is an optional streaming listener
     with an ``on_sample(name, time, value)`` method, notified on every
-    gauge/histogram transition.  The cell is shared with every metric at
+    histogram transition.  The cell is shared with every metric at
     creation, so attaching a sink after metrics were handed out still
     streams their future samples.
     """
@@ -275,20 +218,11 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter, lambda: Counter(name))
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(
-            name, Gauge, lambda: Gauge(name, self._clock, self._sample_cell)
-        )
-
-    def histogram(
-        self, name: str, bounds: Sequence[float] = ()
-    ) -> TimeWeightedHistogram:
+    def histogram(self, name: str) -> TimeWeightedHistogram:
         return self._get(
             name,
             TimeWeightedHistogram,
-            lambda: TimeWeightedHistogram(
-                name, self._clock, bounds, self._sample_cell
-            ),
+            lambda: TimeWeightedHistogram(name, self._clock, self._sample_cell),
         )
 
     def names(self) -> list[str]:
@@ -322,12 +256,6 @@ class MetricsRegistry:
                 rows.append(
                     [name, "counter", m.value, "", "", "", "", "", "", m.events]
                 )
-            elif isinstance(m, Gauge):
-                vmax = max((v for _, v in m.samples), default=0.0)
-                rows.append(
-                    [name, "gauge", m.value, "", "", vmax, "", "", "",
-                     len(m.samples)]
-                )
             else:
                 assert isinstance(m, TimeWeightedHistogram)
                 pct = m.percentiles(until=until)
@@ -345,8 +273,6 @@ class _NullMetric:
     name = "null"
     value = 0.0
     events = 0
-    samples: tuple = ()
-    bounds: tuple = ()
     vmin = 0.0
     vmax = 0.0
     transitions = 0
@@ -362,9 +288,6 @@ class _NullMetric:
 
     def elapsed(self, until=None) -> float:
         return 0.0
-
-    def distribution(self, until=None) -> list:
-        return []
 
     def percentiles(self, ps=(50.0, 95.0, 99.0), until=None) -> dict:
         return {f"p{p:g}": 0.0 for p in ps}
@@ -385,10 +308,7 @@ class NullRegistry:
     def counter(self, name: str) -> _NullMetric:
         return _NULL_METRIC
 
-    def gauge(self, name: str) -> _NullMetric:
-        return _NULL_METRIC
-
-    def histogram(self, name: str, bounds: Sequence[float] = ()) -> _NullMetric:
+    def histogram(self, name: str) -> _NullMetric:
         return _NULL_METRIC
 
     def names(self) -> list[str]:
@@ -505,10 +425,6 @@ def snapshot_rows(metrics: dict) -> tuple[list[str], list[list]]:
         if kind == "counter":
             rows.append([name, "counter", snap.get("value", 0.0),
                          "", "", "", "", "", "", snap.get("events", 0)])
-        elif kind == "gauge":
-            rows.append([name, "gauge", snap.get("value", 0.0),
-                         "", "", snap.get("max", 0.0), "", "", "",
-                         snap.get("samples", 0)])
         elif kind == "histogram":
             vs = snap.get("value_seconds")
             if vs:

@@ -12,14 +12,15 @@ https://ui.perfetto.dev load directly: a JSON object with a
   and parent id in ``args`` so a trace file round-trips losslessly
   back into a dependency DAG (:mod:`repro.obs.analysis`);
 * ``"ph": "i"`` instant events for point occurrences (faults, sends);
-* ``"ph": "C"`` counter events for every gauge sample;
 * ``"ph": "s"`` / ``"ph": "f"`` flow-event pairs for every explicit
   happens-before edge (``Tracer.edge``) — Perfetto draws these as
   arrows between the two spans.
 
 Spans still open at export time (a task killed by fault injection) are
 closed at the trace's final timestamp and flagged ``"unfinished"`` —
-Perfetto has no notion of a half-open complete event.
+Perfetto has no notion of a half-open complete event.  Metrics stay out
+of the file: counters and histograms are summaries, not time series, so
+no trace has a counter track (``"ph": "C"``).
 
 :func:`load_observers` is the inverse of :func:`write_trace`: it reads a
 trace file back into one :class:`~repro.obs.observer.Observer` per
@@ -33,7 +34,6 @@ import json
 from pathlib import Path
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
-from repro.obs.metrics import Gauge
 from repro.obs.observer import Observer
 from repro.obs.tracer import Edge, Instant, Span
 
@@ -151,21 +151,6 @@ def trace_events(obs: Observer, pid: int = 1, pid_name: str = "sim") -> list[dic
                 "args": dict(inst.args),
             }
         )
-    for name in obs.metrics.names():
-        metric = obs.metrics._metrics[name]
-        if not isinstance(metric, Gauge):
-            continue
-        for t, v in metric.samples:
-            events.append(
-                {
-                    "ph": "C",
-                    "name": name,
-                    "cat": "metrics",
-                    "ts": t * _US,
-                    "pid": pid,
-                    "args": {name.rsplit(".", 1)[-1]: v},
-                }
-            )
     return events
 
 
@@ -206,11 +191,12 @@ def load_observers(
 
     Returns ``[(process name, Observer)]`` in pid order, the shape
     :func:`write_trace` takes.  Each simulator-less observer holds the
-    process's spans (ids, parents, tracks and args as recorded), edges,
-    instants and gauge samples; counters and histograms are not in the
-    file.  Times are the file's microseconds over 1e6, so they match
-    the recorded seconds to within that rounding.  A span the export
-    flagged ``unfinished`` comes back closed at the trace's end.
+    process's spans (ids, parents, tracks and args as recorded), edges
+    and instants; metrics are not in the file.  Counter events
+    (``"ph": "C"``), which :func:`write_trace` never writes, are skipped.
+    Times are the file's microseconds over 1e6, so they match the
+    recorded seconds to within that rounding.  A span the export flagged
+    ``unfinished`` comes back closed at the trace's end.
     """
     if not isinstance(source, dict):
         with Path(source).open() as fh:
@@ -227,8 +213,8 @@ def load_observers(
             else:
                 tracks[(pid, ev["tid"])] = ev["args"]["name"]
             continue
-        if ph == "f":
-            continue  # the flow's finish half; its "s" carries the edge
+        if ph == "f" or ph == "C":
+            continue  # a flow's finish half (its "s" carries the edge) or a counter
         obs = processes[pid][1]
         t = ev["ts"] / _US
         args = dict(ev["args"])
@@ -250,15 +236,10 @@ def load_observers(
         elif ph == "s":
             src, dst = args.pop("src"), args.pop("dst")
             obs.tracer.edges.append(Edge(src, dst, ev["name"], t, args))
-        elif ph == "i":
+        else:  # "i"
             obs.tracer.instants.append(
                 Instant(t, ev["cat"], ev["name"], tracks[(pid, ev["tid"])], args)
             )
-        else:  # "C": one gauge sample
-            gauge = obs.metrics.gauge(ev["name"])
-            for value in args.values():
-                gauge.samples.append((t, value))
-                gauge.value = value
     return [processes[pid] for pid in sorted(processes)]
 
 

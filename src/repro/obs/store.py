@@ -7,7 +7,7 @@ alternative:
 
 * :class:`TraceStoreWriter` — a tracer *sink* (see
   :attr:`~repro.obs.tracer.SpanTracer.sink`): every ``begin``/``end``/
-  ``instant``/``edge`` call, and every gauge/histogram transition,
+  ``instant``/``edge`` call, and every histogram transition,
   appends exactly one JSON line to the store file the moment it is
   recorded.  Peak writer memory is O(1) events no matter how long the
   run.
@@ -404,9 +404,9 @@ def events_of(obs) -> Iterator[dict]:
     simulated time, so :mod:`repro.obs.replay` folds a live observer and
     a streamed file identically.  Ties at one timestamp keep a valid
     order: a span's begin always precedes its end, and a sid-``n`` begin
-    precedes a sid-``m>n`` begin.  Gauge samples are included (gauges
-    retain their history); histogram transitions are not retained in
-    memory and appear only in streamed stores.
+    precedes a sid-``m>n`` begin.  Histogram transitions are not
+    retained in memory, so ``sample`` events appear only in streamed
+    stores.
     """
     keyed: list[tuple[float, int, dict]] = []
     for span in obs.tracer.spans:
@@ -425,13 +425,6 @@ def events_of(obs) -> Iterator[dict]:
     base += len(obs.tracer.instants)
     for i, edge in enumerate(obs.tracer.edges):
         keyed.append((edge.time, base + i, _edge_event(edge)))
-    base += len(obs.tracer.edges)
-    for i, name in enumerate(obs.metrics.names()):
-        metric = obs.metrics._metrics[name]
-        for t, v in getattr(metric, "samples", ()):
-            keyed.append(
-                (t, base + i, {"k": "sample", "m": name, "t": t, "v": v})
-            )
     keyed.sort(key=lambda kv: (kv[0], kv[1]))
     return (ev for _, _, ev in keyed)
 

@@ -13,14 +13,13 @@ from many mappers saturate node downlinks.
 Latency is charged once per flow (propagation + protocol setup, supplied
 by the caller) before the bytes begin to flow.
 
-The solver is incremental: it tracks *dirty* links, re-solves only the
-connected component of flows reachable from a change, short-circuits
-the single-bottleneck star case, and batches equal-cap freezes.
-Progressive filling decomposes over connected components (freezing a
-flow only alters residuals on its own path), so it reproduces a
-from-scratch full progressive-filling pass **bit-for-bit**.  That pass
-is kept as a test oracle (``reference_rates`` in
-``tests/simnet/oracle.py``) and pinned by the differential tests in
+Every solve re-rates every active flow in one progressive-filling
+loop that also freezes rate-capped flows, one per rescan.  It is the
+from-scratch reference pass with cheaper bookkeeping (links sorted once
+per solve, unfrozen counts maintained, a cursor over the sorted caps,
+no residual updates in the final round), so it reproduces that pass
+**bit-for-bit**.  The pass is kept as a test oracle (``reference_rates``
+in ``tests/simnet/oracle.py``) and pinned by the differential tests in
 ``tests/simnet/test_maxmin_differential.py`` and the golden-export
 tests in ``tests/experiments/``.
 
@@ -175,7 +174,8 @@ class Network:
 
     1. all flows unfrozen, all link capacities residual;
     2. the link with the smallest ``residual / unfrozen_flow_count`` is the
-       bottleneck — freeze its flows at that share;
+       bottleneck — freeze its flows at that share, unless the tightest
+       unfrozen ``rate_cap`` is lower: then freeze that one flow at its cap;
     3. subtract, repeat until every flow is frozen.
     """
 
@@ -195,17 +195,13 @@ class Network:
         self.flows_failed = 0
         self.flows_cancelled = 0
         self.first_flow_failure_at: Optional[float] = None
-        # -- incremental-solver state -------------------------------------------
-        #: Links whose flow set or capacity changed since the last solve;
-        #: the incremental solver only revisits their connected component.
-        self._dirty: set[Link] = set()
         #: The currently pending completion timer; superseded timers are
         #: tombstoned so the kernel skips their dispatch entirely.
         self._pending_timer: Optional[Event] = None
         # -- solver effort counters (plain ints: free when obs is off) ----------
-        self.rate_recomputes = 0  #: solver invocations that did real work
+        self.rate_recomputes = 0  #: solver invocations
         self.rate_recompute_flows = 0  #: flows whose rate was re-derived
-        self.rate_skips = 0  #: solves skipped because nothing was dirty
+        self.rate_skips = 0  #: solves skipped (none: every solve re-rates)
         # -- horizon-batching state --------------------------------------------
         # Active flows live in dense slots 0..n-1 of the remaining/rate
         # lists; a departing flow is swap-removed (the last slot moves
@@ -251,7 +247,6 @@ class Network:
             raise ValueError(f"link capacity must be positive, got {capacity}")
         self._advance()
         link.capacity = float(capacity)
-        self._dirty.add(link)
         self._reallocate()
 
     # -- transfers --------------------------------------------------------------
@@ -483,7 +478,6 @@ class Network:
             if link._last_t != now:
                 link._settle(now)
             link._flows.add(flow)
-            self._dirty.add(link)
 
     def _free_slot(self, flow: Flow) -> None:
         """Swap-remove ``flow`` from the dense slots, syncing its scalar
@@ -518,7 +512,6 @@ class Network:
             if link._last_t != now:
                 link._settle(now)
             link._flows.discard(flow)
-            self._dirty.add(link)
 
     def _finish(self, flow: Flow) -> None:
         self._flows.discard(flow)
@@ -591,7 +584,6 @@ class Network:
             for flow in finished:
                 self._finish(flow)
         if not self._flows:
-            self._dirty.clear()
             return
 
         self._maxmin_rates()
@@ -632,17 +624,14 @@ class Network:
         self._reallocate()
 
     def _sync_rates(self) -> None:
-        """Mirror solver-assigned rates into the slot list.  One batch
-        write: flows outside the solved component kept their old rate, so
-        rewriting every active slot from the authoritative ``flow.rate``
-        attributes is always correct.
-        """
+        """Mirror solver-assigned rates into the slot list in one batch
+        write from the authoritative ``flow.rate`` attributes."""
         self._slot_rate = [f.rate for f in self._slot_flows]
 
     def _settle_component(self, flows: Iterable[Flow]) -> None:
         """Settle every link the solver is about to re-rate.  Must run
-        before the solver zeroes any component flow's rate — the byte
-        integral needs the rates still in force."""
+        before the solver zeroes any flow's rate — the byte integral
+        needs the rates still in force."""
         now = self.sim.now
         for f in flows:
             for link in f.path:
@@ -661,56 +650,14 @@ class Network:
                 link._settle(now)
 
     def _maxmin_rates(self) -> None:
-        """Incremental max-min: re-solve only the dirty connected component.
+        """Re-solve the max-min share of every active flow.
 
-        Progressive filling decomposes over connected components of the
-        flow/link sharing graph — freezing a flow only changes residuals
-        on its own path, so a component's final shares are a pure
-        function of its own links, flows and caps.  A join/leave/kill
-        therefore invalidates exactly the component(s) reachable from
-        the touched links; everything else keeps its converged rate.
+        Every path here first changes a flow set or a link capacity, so
+        no solve is skippable, and ``rate_skips`` stays 0.  A solve of
+        only the flows reachable from a change is not kept either: on
+        every measured run that reached every active flow (docs/PERF.md).
         """
-        dirty = self._dirty
-        if not dirty:
-            self.rate_skips += 1
-            return
-        # Small populations (the paper's 8-node cluster tops out around
-        # 40 concurrent flows): finding the dirty component costs more
-        # than re-solving everything, and solving the full flow set IS
-        # the reference semantics — trivially exact.
-        if len(self._flows) <= 48:
-            dirty.clear()
-            self.rate_recomputes += 1
-            self.rate_recompute_flows += len(self._flows)
-            obs = self.sim.obs
-            if obs.enabled:
-                obs.metrics.counter("net.rate_recomputes").add()
-                obs.metrics.counter("net.rate_recompute_flows").add(len(self._flows))
-            self._settle_component(self._flows)
-            self._solve_component(self._flows)
-            self._sync_rates()
-            return
-        # Closure: every flow sharing a link (transitively) with a dirty
-        # link.  A dirty link with no flows contributes nothing — its old
-        # flows' components are reachable through the links they still use.
-        stack = [link for link in dirty if link._flows]
-        dirty.clear()
-        flows: set[Flow] = set()
-        seen: set[Link] = set(stack)
-        add_flow = flows.add
-        add_seen = seen.add
-        push = stack.append
-        while stack:
-            link = stack.pop()
-            for f in link._flows:
-                if f not in flows:
-                    add_flow(f)
-                    for other in f.path:
-                        if other not in seen:
-                            add_seen(other)
-                            push(other)
-        if not flows:
-            return
+        flows = self._flows
         self.rate_recomputes += 1
         self.rate_recompute_flows += len(flows)
         obs = self.sim.obs
@@ -722,16 +669,17 @@ class Network:
         self._sync_rates()
 
     def _solve_component(self, flows: set[Flow]) -> None:
-        """Progressive filling restricted to one closed component.
+        """Progressive filling over ``flows``, with per-flow rate caps.
 
         Bit-for-bit equal to the from-scratch reference pass on the same
-        flows: identical divisions, subtraction order and epsilon-tie
-        resolution — only the bookkeeping is cheaper.  The measured shape
-        of Figure-6 components (a few flows over 2–8 links, ~96 % of them
-        with no rate caps at all) drives the structure: the uncapped case
-        skips the cap machinery entirely, links are sorted once per solve
-        instead of once per round, and per-link unfrozen counts are
-        maintained instead of recounted.  The residual clamp uses a
+        flows: identical divisions, subtraction order, epsilon-tie
+        resolution and one capped freeze per rescan.  Only the
+        bookkeeping is cheaper: links are sorted once per solve instead
+        of once per round, per-link unfrozen counts are maintained
+        instead of recounted, a cursor over the caps sorted by
+        (cap, seq) replaces the reference's ``min`` over the unfrozen
+        flows, and the round that freezes every remaining flow skips the
+        residual updates nobody reads.  The residual clamp uses a
         conditional instead of ``max(0.0, r)`` — identical for every
         float including ``-0.0`` (``max`` returns its first argument on
         ties), but without a builtin call in the innermost loop.
@@ -747,71 +695,9 @@ class Network:
             for link in flow.path:
                 if link not in residual:
                     residual[link] = link.capacity
-
-        if not capped_flows:
-            n_flows = len(flows)
-            # Single-bottleneck short-circuit (the GigE star's all-to-one
-            # case): one link, no caps — everyone gets the same division
-            # the reference's sole iteration would compute.
-            if len(residual) == 1:
-                share = next(iter(residual.values())) / n_flows
-                for f in flows:
-                    f.rate = share
-                return
-            # Uniform short-circuit: every link carries every flow (one
-            # mapper bursting to a set of peers).  The reference's first
-            # round then freezes the whole component at the bottleneck
-            # share — compute exactly that scan, skip the bookkeeping.
-            if all(len(link._flows) == n_flows for link in residual):
-                best_share = inf
-                for link in sorted(residual, key=_LINK_NAME):
-                    share = residual[link] / n_flows
-                    if share < best_share - eps:
-                        best_share = share
-                for f in flows:
-                    f.rate = best_share
-                return
-            # Closure property: every flow of every component link is in
-            # ``flows``, so unfrozen counts start at len(link._flows).
-            link_order = sorted(residual, key=_LINK_NAME)
-            counts = {link: len(link._flows) for link in link_order}
-            unfrozen: set[Flow] = set(flows)
-            while unfrozen:
-                best_link: Optional[Link] = None
-                best_share = inf
-                for link in link_order:
-                    n = counts[link]
-                    if n:
-                        share = residual[link] / n
-                        if share < best_share - eps:
-                            best_share = share
-                            best_link = link
-                if best_link is None:
-                    # Mirrors the reference fallback for unconstrained flows.
-                    for flow in unfrozen:
-                        flow.rate = min(flow.rate_cap, 1e18)
-                    break
-                if counts[best_link] == len(unfrozen):
-                    # Final round: every remaining flow is on the
-                    # bottleneck, so all freeze at this share and the
-                    # residual/count updates would never be read again.
-                    for flow in unfrozen:
-                        flow.rate = best_share
-                    return
-                # Direct iteration over the same set object the reference
-                # builds its ``froze`` list from: same element order, and
-                # discarding a flow never changes another's membership test.
-                for flow in best_link._flows:
-                    if flow in unfrozen:
-                        flow.rate = best_share
-                        unfrozen.discard(flow)
-                        for link in flow.path:
-                            r = residual[link] - best_share
-                            residual[link] = r if r > 0.0 else 0.0
-                            counts[link] -= 1
-            return
-
         link_order = sorted(residual, key=_LINK_NAME)
+        # Every flow of every link is in ``flows`` (the active set), so
+        # unfrozen counts start at len(link._flows).
         counts = {link: len(link._flows) for link in link_order}
         # Only capped flows can win the reference's min-cap scan; once the
         # cursor exhausts them the remaining caps are all infinite.
@@ -820,7 +706,7 @@ class Network:
         n_caps = len(cap_order)
         unfrozen = set(flows)
         while unfrozen:
-            best_link = None
+            best_link: Optional[Link] = None
             best_share = inf
             for link in link_order:
                 n = counts[link]
@@ -832,31 +718,17 @@ class Network:
             while cap_i < n_caps and cap_order[cap_i] not in unfrozen:
                 cap_i += 1
             if cap_i < n_caps and cap_order[cap_i].rate_cap < best_share:
-                # Freeze the tightest-capped flow, exactly as the
-                # reference would.  Freezing at a rate below every
-                # remaining share can only *raise* shares, so while the
-                # next cap stays below a safety margin under the share
-                # we just scanned, the reference's rescan is provably
-                # redundant — batch those freezes without it.  ``guard``
-                # retreats 2·eps per freeze to absorb the epsilon slop
-                # the scan's tie-breaking permits; caps inside the slop
-                # fall back to an honest rescan.
-                guard = best_share
-                while True:
-                    capped = cap_order[cap_i]
-                    rate = capped.rate_cap
-                    capped.rate = rate
-                    unfrozen.discard(capped)
-                    for link in capped.path:
-                        r = residual[link] - rate
-                        residual[link] = r if r > 0.0 else 0.0
-                        counts[link] -= 1
-                    guard -= 2.0 * eps
-                    cap_i += 1
-                    while cap_i < n_caps and cap_order[cap_i] not in unfrozen:
-                        cap_i += 1
-                    if cap_i >= n_caps or not cap_order[cap_i].rate_cap < guard:
-                        break
+                # The tightest cap binds before any link: freeze that one
+                # flow and rescan, exactly as the reference does.
+                capped = cap_order[cap_i]
+                cap_i += 1
+                rate = capped.rate_cap
+                capped.rate = rate
+                unfrozen.discard(capped)
+                for link in capped.path:
+                    r = residual[link] - rate
+                    residual[link] = r if r > 0.0 else 0.0
+                    counts[link] -= 1
                 continue
             if best_link is None:
                 # Remaining flows traverse no constrained link (shouldn't
@@ -864,13 +736,17 @@ class Network:
                 # infinite.  Mirrors the reference fallback.
                 for flow in unfrozen:
                     flow.rate = min(flow.rate_cap, 1e18)
-                break
+                return
             if counts[best_link] == len(unfrozen):
-                # Final round (the cap check above already passed): all
-                # remaining flows freeze here; skip the dead bookkeeping.
+                # Final round: every remaining flow is on the bottleneck,
+                # so all freeze at this share and the residual/count
+                # updates would never be read again.
                 for flow in unfrozen:
                     flow.rate = best_share
                 return
+            # Direct iteration over the same set object the reference
+            # builds its ``froze`` list from: same element order, and
+            # discarding a flow never changes another's membership test.
             for flow in best_link._flows:
                 if flow in unfrozen:
                     flow.rate = best_share

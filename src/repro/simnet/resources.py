@@ -144,7 +144,7 @@ class RateDevice:
         self.bytes_served = 0.0
         self.busy_time = 0.0
         self.jobs_completed = 0
-        # Bound at construction like SlotPool's gauges; the enabled flag
+        # Bound at construction like SlotPool's histograms; the enabled flag
         # lets the hot paths skip even the null-object dispatch.
         self._metrics_on = sim.obs.enabled
         self._depth = sim.obs.metrics.histogram(f"device.{name}.jobs")

@@ -1,7 +1,7 @@
 """Golden determinism: experiment exports are solver- and engine-independent.
 
-The incremental max-min solver and the horizon-batching flow engine are
-only admissible because they change *nothing* observable: every
+The max-min solver's cheaper bookkeeping and the horizon-batching flow
+engine are only admissible because they change *nothing* observable: every
 experiment export must serialise byte-identically with the reference
 solver or the scalar flow-engine oracle swapped into the clusters
 (:mod:`tests.simnet.oracle`), and identically across two same-seed

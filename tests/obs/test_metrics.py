@@ -1,11 +1,10 @@
-"""Tests for counters, gauges, time-weighted histograms and the registry."""
+"""Tests for counters, time-weighted histograms and the registry."""
 
 import pytest
 
 from repro.obs.metrics import (
     NULL_REGISTRY,
     Counter,
-    Gauge,
     MetricsRegistry,
     TimeWeightedHistogram,
 )
@@ -28,19 +27,6 @@ class TestCounter:
         assert c.value == 16.5
         assert c.events == 3
         assert c.to_dict() == {"type": "counter", "value": 16.5, "events": 3}
-
-
-class TestGauge:
-    def test_keeps_every_sample(self):
-        clock = Clock()
-        g = Gauge("depth", clock)
-        g.set(2)
-        clock.t = 3.0
-        g.set(7)
-        clock.t = 4.0
-        g.set(1)
-        assert g.samples == [(0.0, 2.0), (3.0, 7.0), (4.0, 1.0)]
-        assert g.to_dict() == {"type": "gauge", "value": 1.0, "samples": 3, "max": 7.0}
 
 
 class TestTimeWeightedHistogram:
@@ -79,24 +65,9 @@ class TestTimeWeightedHistogram:
         assert (h.vmin, h.vmax) == (0.0, 5.0)
         assert h.transitions == 3
 
-    def test_bucket_seconds_by_bounds(self):
-        clock = Clock()
-        h = TimeWeightedHistogram("q", clock, bounds=(1, 4))
-        clock.t = 2.0
-        h.set(3)  # value 0 held [0, 2)
-        clock.t = 3.0
-        h.set(5)  # value 3 held [2, 3)
-        clock.t = 3.5
-        dist = dict(h.distribution())  # value 5 held [3, 3.5)
-        assert dist == {
-            "[-inf, 1)": pytest.approx(2.0),
-            "[1, 4)": pytest.approx(1.0),
-            "[4, +inf)": pytest.approx(0.5),
-        }
-
     def test_to_dict_shape(self):
         clock = Clock()
-        h = TimeWeightedHistogram("q", clock, bounds=(1,))
+        h = TimeWeightedHistogram("q", clock)
         clock.t = 1.0
         h.set(2)
         clock.t = 2.0
@@ -104,7 +75,6 @@ class TestTimeWeightedHistogram:
         assert d["type"] == "histogram"
         assert d["mean"] == pytest.approx(1.0)
         assert (d["min"], d["max"], d["last"], d["transitions"]) == (0.0, 2.0, 2.0, 1)
-        assert set(d["bucket_seconds"]) == {"[-inf, 1)", "[1, +inf)"}
 
     def test_mean_with_zero_span_returns_current_value(self):
         h = TimeWeightedHistogram("q", Clock(5.0))
@@ -178,14 +148,11 @@ class TestRegistry:
     def test_get_or_create_returns_same_object(self):
         reg = MetricsRegistry(Clock())
         assert reg.counter("a") is reg.counter("a")
-        assert reg.gauge("g") is reg.gauge("g")
         assert reg.histogram("h") is reg.histogram("h")
 
     def test_kind_mismatch_raises(self):
         reg = MetricsRegistry(Clock())
         reg.counter("x")
-        with pytest.raises(TypeError):
-            reg.gauge("x")
         with pytest.raises(TypeError):
             reg.histogram("x")
 
@@ -201,37 +168,34 @@ class TestRegistry:
         clock = Clock()
         reg = MetricsRegistry(clock)
         reg.counter("c").add(2)
-        reg.gauge("g").set(1)
         reg.histogram("h").set(4)
         clock.t = 2.0
         d = reg.to_dict()
         assert d["c"]["type"] == "counter"
-        assert d["g"]["type"] == "gauge"
         assert d["h"]["type"] == "histogram"
 
     def test_rows_shape(self):
         clock = Clock()
         reg = MetricsRegistry(clock)
         reg.counter("c").add(3)
-        reg.gauge("g").set(7)
         reg.histogram("h").set(1)
         clock.t = 1.0
         header, rows = reg.rows()
         assert header == ["metric", "type", "value", "mean", "min", "max",
                           "p50", "p95", "p99", "events"]
-        assert [r[0] for r in rows] == ["c", "g", "h"]
+        assert [r[0] for r in rows] == ["c", "h"]
         assert all(len(r) == len(header) for r in rows)
         by_name = {r[0]: dict(zip(header, r)) for r in rows}
-        # Counters/gauges have no duration-weighted distribution — their
+        # Counters have no duration-weighted distribution — their
         # percentile cells stay blank; histograms carry real values.
-        assert by_name["c"]["p50"] == by_name["g"]["p95"] == ""
+        assert by_name["c"]["p50"] == by_name["c"]["p95"] == ""
         assert by_name["h"]["p50"] == 1.0
 
 
 class TestNullRegistry:
     def test_every_lookup_is_shared_noop(self):
         c = NULL_REGISTRY.counter("a")
-        assert c is NULL_REGISTRY.gauge("b") is NULL_REGISTRY.histogram("c")
+        assert c is NULL_REGISTRY.counter("b") is NULL_REGISTRY.histogram("c")
         c.add(5)
         c.set(3)
         assert c.value == 0.0

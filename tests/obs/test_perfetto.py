@@ -26,7 +26,7 @@ class Clock:
 
 @pytest.fixture
 def observed():
-    """An observer with one closed span, one open, an instant, a gauge."""
+    """An observer with one closed span, one open, an instant, a histogram."""
     clock = Clock()
     obs = Observer(clock=clock)
     done = obs.tracer.begin("net", "xfer", track="link0", nbytes=64)
@@ -35,7 +35,7 @@ def observed():
     obs.tracer.begin("hadoop.map", "map0", track="attempt0")  # left open
     clock.t = 3.0
     obs.tracer.instant("fault", "crash", track="faults")
-    obs.metrics.gauge("net.flows").set(2)
+    obs.metrics.histogram("net.flows").set(2)
     return obs
 
 
@@ -77,8 +77,8 @@ class TestTraceEvents:
         events = trace_events(observed)
         inst = next(ev for ev in events if ev["ph"] == "i")
         assert (inst["name"], inst["s"]) == ("crash", "t")
-        ctr = next(ev for ev in events if ev["ph"] == "C")
-        assert (ctr["name"], ctr["args"]) == ("net.flows", {"flows": 2.0})
+        # Metrics are summaries, not time series: no counter track.
+        assert [ev for ev in events if ev["ph"] == "C"] == []
 
     def test_deterministic(self, observed):
         assert trace_events(observed) == trace_events(observed)
@@ -103,8 +103,8 @@ class TestTraceDict:
 
 @pytest.fixture
 def linked():
-    """A finished job: nested spans with end args, an edge, an instant
-    and a gauge, at times the microsecond conversion keeps exact."""
+    """A finished job: nested spans with end args, an edge and an
+    instant, at times the microsecond conversion keeps exact."""
     clock = Clock()
     obs = Observer(clock=clock)
     job = obs.tracer.begin("hadoop.job", "wc", track="job")
@@ -114,9 +114,7 @@ def linked():
     r = obs.tracer.begin("hadoop.reduce", "copy", parent=job)
     obs.tracer.edge(m, r, "shuffle", nbytes=10)
     obs.tracer.instant("fault", "crash node3", track="faults", node=3)
-    obs.metrics.gauge("slots.in_use").set(1)
     clock.t = 4.0
-    obs.metrics.gauge("slots.in_use").set(0)
     obs.tracer.end(r)
     obs.tracer.end(job)
     return obs
@@ -128,7 +126,7 @@ class TestLoadObservers:
         assert [name for name, _ in loaded] == ["mpid", "hadoop"]
         assert all(obs.sim is None for _, obs in loaded)
 
-    def test_spans_edges_instants_and_gauges_round_trip(self, linked, tmp_path):
+    def test_spans_edges_and_instants_round_trip(self, linked, tmp_path):
         path = write_trace([("hadoop", linked)], tmp_path / "trace.json")
         ((name, obs),) = load_observers(path)
         assert name == "hadoop"
@@ -137,8 +135,18 @@ class TestLoadObservers:
         assert [(e.src, e.dst, e.kind, e.args) for e in obs.tracer.edges] == [
             (2, 3, "shuffle", {"nbytes": 10})
         ]
-        assert obs.metrics.names() == ["slots.in_use"]
-        assert obs.metrics.gauge("slots.in_use").samples == [(1.5, 1.0), (4.0, 0.0)]
+        assert obs.metrics.names() == []
+
+    def test_counter_events_are_skipped(self, linked):
+        trace = trace_dict([("hadoop", linked)])
+        trace["traceEvents"].append(
+            {"ph": "C", "name": "slots.in_use", "cat": "metrics", "ts": 1.5e6,
+             "pid": 1, "args": {"in_use": 1.0}}
+        )
+        validate_trace(trace)
+        ((_, obs),) = load_observers(trace)
+        assert obs.tracer.spans == linked.tracer.spans
+        assert obs.metrics.names() == []
 
     def test_reexport_writes_the_same_trace(self, linked):
         original = trace_dict([("hadoop", linked)])

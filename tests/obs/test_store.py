@@ -185,7 +185,7 @@ class TestChunkedReader:
                 sid = obs.tracer.begin("cat", f"span{i}", track=f"t{i % 7}")
                 clock.t = i + 0.5
                 obs.tracer.end(sid)
-                obs.metrics.gauge("g").set(i)
+                obs.metrics.histogram("g").set(i)
         return path
 
     def test_memory_stays_o_chunk(self, big_store):
@@ -207,7 +207,7 @@ class TestChunkedReader:
         assert footer["counts"]["begin"] == 500
         assert footer["counts"]["sample"] == 500
         assert footer["final_time"] == 499.5
-        assert footer["metrics"]["g"]["type"] == "gauge"
+        assert footer["metrics"]["g"]["type"] == "histogram"
         # Sparse index: one [event_index, byte_offset] per 100 events,
         # each offset pointing at the start of that event's line.
         assert [i for i, _ in footer["index"]] == list(range(0, 1500, 100))

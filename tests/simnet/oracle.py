@@ -10,10 +10,15 @@ rate, completion instant and delivered byte.  :func:`use_scalar_oracle`
 swaps both into every cluster built afterwards.
 
 :func:`reference_rates` is the full progressive-filling pass over every
-active flow; the production solver (incremental, per dirty component)
-must reproduce its shares bit-for-bit.  :class:`ReferenceSolverNetwork`
+active flow, recounting and re-sorting everything each round; the
+production solver (the same loop with cheaper bookkeeping) must
+reproduce its shares bit-for-bit.  :class:`ReferenceSolverNetwork`
 solves with it on every reallocation and :func:`use_reference_solver`
 swaps it into every cluster built afterwards.
+
+:class:`CheckedNetwork` is the production network with the flow
+invariants checked while it runs; :func:`use_checked_network` swaps it
+into every cluster built afterwards.
 """
 
 from __future__ import annotations
@@ -31,12 +36,10 @@ class ScalarNetwork(Network):
     def _join(self, flow: Flow) -> None:
         for link in flow.path:
             link._flows.add(flow)
-            self._dirty.add(link)
 
     def _leave_links(self, flow: Flow) -> None:
         for link in flow.path:
             link._flows.discard(flow)
-            self._dirty.add(link)
 
     def _advance(self) -> None:
         now = self.sim.now
@@ -68,7 +71,6 @@ class ScalarNetwork(Network):
         for flow in finished:
             self._finish(flow)
         if not self._flows:
-            self._dirty.clear()
             return
 
         self._maxmin_rates()
@@ -182,7 +184,6 @@ class ReferenceSolverNetwork(Network):
     """:class:`Network` that re-solves every flow with :func:`reference_rates`."""
 
     def _maxmin_rates(self) -> None:
-        self._dirty.clear()
         self.rate_recomputes += 1
         self.rate_recompute_flows += len(self._flows)
         self._settle_component(self._flows)
@@ -194,3 +195,97 @@ def use_reference_solver(monkeypatch) -> None:
     """Build every later :class:`~repro.simnet.cluster.Cluster` on the
     reference solver (undone by ``monkeypatch`` at test teardown)."""
     monkeypatch.setattr(cluster_mod, "Network", ReferenceSolverNetwork)
+
+
+class CheckedNetwork(Network):
+    """:class:`Network` that checks the flow invariants during a run.
+
+    * After every solve: each active flow has ``0 < rate <= rate_cap``
+      and no link carries more than its capacity times ``1 + 1e-9``.
+    * After every advance: no flow's remaining bytes are below
+      ``-1e-9`` times its size.
+    * :meth:`check_drained`, at the end of a run: no flow is still
+      active, and the bytes of every flow ever requested equal the bytes
+      delivered plus the bytes of killed flows, to 1e-12 relative (the
+      two sides add in different orders).
+
+    A violation is recorded, not raised, so a model that catches
+    exceptions cannot hide it and the run's timeline is the unchecked
+    one; :meth:`check_drained` fails on the first recorded violation.
+    """
+
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.bytes_requested = 0.0
+        self.bytes_killed = 0.0
+        self.violations: list[str] = []
+
+    def transfer_flow(self, path, nbytes, *args, **kwargs) -> Flow:
+        flow = super().transfer_flow(path, nbytes, *args, **kwargs)
+        self.bytes_requested += flow.nbytes
+        return flow
+
+    def _kill_flow(self, flow: Flow, reason: str, cancelled: bool) -> bool:
+        killed = super()._kill_flow(flow, reason, cancelled)
+        if killed:
+            self.bytes_killed += flow.nbytes
+        return killed
+
+    def _maxmin_rates(self) -> None:
+        super()._maxmin_rates()
+        load: dict[Link, float] = {}
+        for flow in self._flows:
+            if not 0.0 < flow.rate <= flow.rate_cap:
+                self.violations.append(
+                    f"t={self.sim.now}: flow #{flow.seq} rate {flow.rate} "
+                    f"outside (0, {flow.rate_cap}]"
+                )
+            for link in flow.path:
+                load[link] = load.get(link, 0.0) + flow.rate
+        for link, total in load.items():
+            if total > link.capacity * (1 + 1e-9):
+                self.violations.append(
+                    f"t={self.sim.now}: link {link.name} carries {total} "
+                    f"> capacity {link.capacity}"
+                )
+
+    def _advance(self) -> None:
+        super()._advance()
+        for rem, flow in zip(self._slot_rem, self._slot_flows):
+            if rem < -1e-9 * flow.nbytes:
+                self.violations.append(
+                    f"t={self.sim.now}: flow #{flow.seq} has {rem} bytes "
+                    f"left of {flow.nbytes}"
+                )
+
+    def check_drained(self) -> None:
+        """Fail on any recorded violation, an active flow or lost bytes."""
+        assert not self.violations, (
+            f"{len(self.violations)} violations, first: {self.violations[0]}"
+        )
+        assert not self._flows, f"{len(self._flows)} flows still active"
+        accounted = self.bytes_delivered + self.bytes_killed
+        assert abs(self.bytes_requested - accounted) <= (
+            1e-12 * self.bytes_requested
+        ), (
+            f"requested {self.bytes_requested} bytes, delivered "
+            f"{self.bytes_delivered} + killed {self.bytes_killed}"
+        )
+
+
+def use_checked_network(monkeypatch) -> list[CheckedNetwork]:
+    """Build every later :class:`~repro.simnet.cluster.Cluster` on a
+    :class:`CheckedNetwork` (undone by ``monkeypatch`` at test teardown).
+
+    Returns the list each checked network joins as it is built, for the
+    test to call :meth:`CheckedNetwork.check_drained` on.
+    """
+    built: list[CheckedNetwork] = []
+
+    def network(sim) -> CheckedNetwork:
+        net = CheckedNetwork(sim)
+        built.append(net)
+        return net
+
+    monkeypatch.setattr(cluster_mod, "Network", network)
+    return built
