@@ -14,11 +14,13 @@ Six JSON exports ride along with the CSVs: ``fig6_wordcount``,
 ``critical_path`` and ``multi_tenant``.  The first two carry the *full*
 per-task phase records (``JobMetrics.to_dict()`` — the machine-readable
 job history), which the CSVs' aggregate rows deliberately drop.
+``gridmix`` and ``ablation_compression`` export JSON only.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import math
 from typing import Sequence
@@ -338,6 +340,23 @@ def durability_json(r) -> dict:
             for h, m in [(r.hadoop[(repl, rate)], r.mpid[(repl, rate)])]
         },
     }
+
+
+def gridmix_json(r) -> dict:
+    """Hadoop and MPI-D seconds per GridMix workload."""
+    return {
+        "experiment": "gridmix",
+        "input_gb": r.input_gb,
+        "workloads": {
+            name: {"hadoop_s": h, "mpid_s": m} for name, (h, m) in r.times.items()
+        },
+    }
+
+
+def ablation_compression_json(r) -> dict:
+    """Wire bytes of the functional run and simulated sort seconds,
+    uncompressed and compressed."""
+    return {"experiment": "ablation_compression", **dataclasses.asdict(r)}
 
 
 def critical_path_csv(r) -> tuple[list[str], list[list]]:

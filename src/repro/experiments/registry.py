@@ -128,12 +128,18 @@ EXPERIMENTS: tuple[Experiment, ...] = (
     Experiment(
         "ablation_compression", "ablation_compression",
         "ablation: realignment compression",
+        exports=(
+            ("ablation_compression.json", "export.ablation_compression_json"),
+        ),
     ),
     Experiment(
         "ablation_scheduling", "ablation_scheduling",
         "ablation: heartbeat scheduling",
     ),
-    Experiment("gridmix", "gridmix", "GridMix suite: Hadoop vs MPI-D"),
+    Experiment(
+        "gridmix", "gridmix", "GridMix suite: Hadoop vs MPI-D",
+        exports=(("gridmix.json", "export.gridmix_json"),),
+    ),
     Experiment("skew", "skew", "partition skew / hot-reducer pathology"),
     Experiment(
         "stragglers", "stragglers", "stragglers & speculative execution",

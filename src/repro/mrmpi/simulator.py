@@ -367,14 +367,10 @@ class MrMpiSimulation:
 
     # -- processes -----------------------------------------------------------------
     def _mapper_proc(self, rank: int, node_id: int, split_bytes: float):
-        sim = self.sim
-        cfg = self.config
-        profile = self.spec.profile
         node = self.cluster.node(node_id)
         m = MapperMetrics(rank=rank, node=node_id, input_bytes=split_bytes)
         self.metrics.mappers.append(m)
-        tr = sim.obs.tracer
-        sid = 0
+        tr = self.sim.obs.tracer
         try:
             yield from self._mapper_body(rank, node_id, split_bytes, node, m)
         except Interrupt:
@@ -432,50 +428,35 @@ class MrMpiSimulation:
             for rnode in reducer_nodes
         ]
         wc_cache: dict[float, tuple[int, float, float]] = {}
-        # Horizon batching (tracing off): the spill chain's pure CPU
-        # delays — realign, compress, the first reducer's injection cost
-        # — collapse into one pooled tick at the accumulated absolute
-        # instant.  The accumulation performs the same float additions
-        # in the same order the chained timeouts would
-        # (((t + realign) + compress) + send_cpu), so every send starts
-        # at the bit-identical time.  Span boundaries pin the unfused
-        # chain when tracing is on.
-        fused = not obs.enabled
-        # Deeper fusion — CPU slot held via try_acquire with an
-        # autonomous release tick — is only valid when nothing can
-        # interrupt the mapper mid-chain: an interrupted scalar mapper
-        # releases its core at the interrupt instant, the release tick
-        # at the phase boundary.  Fault-free runs cannot be interrupted.
-        fused_cpu = (
-            fused
+        # One spill chain, two schedules.  Stepped: a timeout per phase
+        # (map with a core held, realign, [compress], one injection per
+        # reducer) and, when traced, a span at each edge.  Fused: map +
+        # realign [+ compress] + the first injection end at one pooled
+        # tick at (((t + cpu) + realign) + compress) + send_cpu, the same
+        # float additions in the same order as the stepped timeouts, so
+        # every send starts at the bit-identical time.  A mapper fuses
+        # when nothing observes it, nothing can interrupt it mid-chain
+        # and its node has no more of this gang's ranks than cores (no
+        # core grant can wait, so the fused chain skips the pool).
+        cpus = node.cpus
+        traced = obs.enabled
+        fused = (
+            not traced
             and self.injector is None
             and not self.net_faults
             and self.storage is None
-        )
-        cpus = node.cpus
-        # With no more pinned ranks than cores the pool can never
-        # saturate: every acquire grants instantly and every release
-        # is a counter flip nobody observes (the occupancy metrics are
-        # null with tracing off).  Skip slot accounting entirely — and
-        # with it the autonomous release tick.
-        free_run = (
-            fused_cpu
             and self.ranks_per_node().get(node_id, 0) <= cpus.capacity
         )
-
-        def release_core(ev, pool=cpus):
-            pool.release()
 
         # Chunk-derived quantities repeat for every full chunk (only the
         # final partial differs) — memoise instead of recomputing per
         # lap.  The tracer calls are no-ops when tracing is off; `traced`
         # skips even the no-op dispatch in this, the hottest loop in the
         # whole codebase.
-        traced = obs.enabled
         job_metrics = self.metrics
         prev_chunk = -1.0
         chunk_cpu = chunk_out = 0.0
-        read_sid = map_sid = send_sid = 0
+        read_sid = map_sid = realign_sid = send_sid = 0
         while remaining > 0:
             if job_metrics.aborted:
                 # Another rank hit unrecoverable data loss: MPI_Abort
@@ -504,67 +485,46 @@ class MrMpiSimulation:
                     return
             if traced:
                 tr.end(read_sid)
-            cpu = chunk_cpu
-            if traced:
-                map_sid = tr.begin("mpid.map", "map", parent=sid)
-            if fused_cpu and (free_run or cpus.try_acquire()):
-                # Whole-chain horizon batching: the core's release is an
-                # autonomous tick at the map phase's end, and the mapper
-                # itself sleeps straight through map + realign [+compress]
-                # into the first send — one resume for the whole CPU
-                # chain.  All instants are the same float accumulation
-                # the chained timeouts would produce.
-                t_rel = sim.now + cpu
-                if not free_run:
-                    sim.tick_at(t_rel, release_core)
-                if traced:
-                    tr.end(map_sid)
-                out = chunk_out
+            out = chunk_out
+            if fused:
+                t_map = sim.now + chunk_cpu
                 if out <= 0:
-                    yield sim.tick_at(t_rel)
+                    yield sim.tick_at(t_map)
                     continue
                 m.spills += 1
-                pending = t_rel + out * cfg.realign_cpu_per_byte
+                pending = t_map + out * cfg.realign_cpu_per_byte
                 if cfg.compress:
                     pending = pending + out * cfg.compress_cpu_per_byte
                     out *= cfg.compression_ratio
             else:
+                if traced:
+                    map_sid = tr.begin("mpid.map", "map", parent=sid)
                 core = cpus.acquire()
                 try:
-                    if not (fused and core.triggered):
+                    if traced or not core.triggered:
                         # An uncontended slot grants synchronously;
                         # skipping the yield saves the resume (the
                         # pre-scheduled grant event still pops harmlessly
                         # with no callbacks).
                         yield core
-                    yield sim.timeout(cpu)
+                    yield sim.timeout(chunk_cpu)
                 finally:
                     cpus.cancel(core)
                 if traced:
                     tr.end(map_sid)
                 # Spill: realign + eager sends of fixed-size arrays.
-                out = chunk_out
                 if out <= 0:
                     continue
                 m.spills += 1
-                realign_sid = (
-                    tr.begin("mpid.map", "realign", parent=sid) if traced else 0
-                )
-                if fused:
-                    # Defer the realign/compress sleep into the first
-                    # send's injection sleep (one tick, not 2-3 timeouts).
-                    pending = sim.now + out * cfg.realign_cpu_per_byte
-                    if cfg.compress:
-                        pending = pending + out * cfg.compress_cpu_per_byte
-                        out *= cfg.compression_ratio
-                else:
-                    pending = None
-                    yield sim.timeout(out * cfg.realign_cpu_per_byte)
-                    if cfg.compress:
-                        yield sim.timeout(out * cfg.compress_cpu_per_byte)
-                        out *= cfg.compression_ratio
+                if traced:
+                    realign_sid = tr.begin("mpid.map", "realign", parent=sid)
+                yield sim.timeout(out * cfg.realign_cpu_per_byte)
+                if cfg.compress:
+                    yield sim.timeout(out * cfg.compress_cpu_per_byte)
+                    out *= cfg.compression_ratio
                 if traced:
                     tr.end(realign_sid)
+                pending = None
             if traced:
                 send_sid = tr.begin("mpid.map", "send", parent=sid)
             for r, rnode in enumerate(reducer_nodes):

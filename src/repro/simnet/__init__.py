@@ -5,8 +5,8 @@ quad-core Xeon E5620, Gigabit Ethernet switch) with a simulated one:
 
 * :mod:`repro.simnet.kernel` — a from-scratch generator-based DES kernel
   (events, processes, timeouts, composition);
-* :mod:`repro.simnet.resources` — slot pools, token-rate devices (disks),
-  stores;
+* :mod:`repro.simnet.resources` — slot pools and token-rate devices
+  (disks);
 * :mod:`repro.simnet.network` — links with fair-share bandwidth and a
   store-and-forward switch;
 * :mod:`repro.simnet.cluster` — node/cluster builders, including
@@ -23,7 +23,7 @@ from repro.simnet.kernel import (
     Interrupt,
     SimError,
 )
-from repro.simnet.resources import SlotPool, RateDevice, Store
+from repro.simnet.resources import SlotPool, RateDevice
 from repro.simnet.network import Link, Network, Flow, FlowFailed
 from repro.simnet.cluster import Node, Cluster, ClusterSpec, paper_cluster
 from repro.simnet.faults import (
@@ -50,7 +50,6 @@ __all__ = [
     "SimError",
     "SlotPool",
     "RateDevice",
-    "Store",
     "Link",
     "Network",
     "Flow",

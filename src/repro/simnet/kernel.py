@@ -25,7 +25,10 @@ Two fast paths keep the hot loop cheap at scale (pinned by
   nothing.  The network's superseded completion timers and the shuffle's
   resolved fetch-deadline timers use this.
 * **pooled ticks** — :meth:`Simulator.tick` hands out recycled
-  :class:`Tick` timers (see :class:`Tick`).
+  :class:`Tick` timers (see :class:`Tick`).  ``tick(d)`` fires at the
+  instant ``timeout(d)`` would, and ``tick_at(t)`` at exactly the float
+  ``t``, which lets the fused MPI-D mapper chain land on the instant
+  its stepped timeouts would reach.
 """
 
 from __future__ import annotations

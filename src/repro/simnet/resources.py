@@ -1,19 +1,17 @@
-"""Resources for the DES: slot pools, processor-sharing rate devices, stores.
+"""Resources for the DES: slot pools and processor-sharing rate devices.
 
 * :class:`SlotPool` — a counting semaphore with a FIFO wait queue; models
-  the map/reduce slots of a TaskTracker and the CPU slots of a node.
+  the CPU cores of a node and the parallel copiers of a reduce task.
 * :class:`RateDevice` — a device with a fixed service rate (bytes/s)
   shared equally among concurrent jobs (processor sharing); models a
   node's disk, where concurrent spills and reads divide the bandwidth.
   Same-instant arrivals and departures share one PS recomputation.
-* :class:`Store` — an unbounded FIFO channel of items with blocking get;
-  models mailbox-style handoff between simulated processes.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from repro.simnet.kernel import Event, SimError, Simulator
 
@@ -58,21 +56,6 @@ class SlotPool:
             if self._metrics_on:
                 self._queued.set(len(self._waiters))
         return ev
-
-    def try_acquire(self) -> bool:
-        """Grab a slot synchronously when one is free; never queues.
-
-        The event-free companion to :meth:`acquire` for hot loops that
-        can pair it with a direct :meth:`release` (no grant event, no
-        dispatch).  Returns False when the pool is full — callers then
-        fall back to the queued ``acquire()`` path.
-        """
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            if self._metrics_on:
-                self._occupancy.set(self._in_use)
-            return True
-        return False
 
     def release(self) -> None:
         if self._in_use <= 0:
@@ -270,34 +253,3 @@ class RateDevice:
         # traffic strictly more expensive.
         self._timer_token += 1
         self._reschedule_now()
-
-
-class Store:
-    """An unbounded FIFO channel: ``put`` never blocks, ``get`` waits for an item."""
-
-    def __init__(self, sim: Simulator, name: str = "store"):
-        self.sim = sim
-        self.name = name
-        self._items: deque[Any] = deque()
-        self._getters: deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def put(self, item: Any) -> None:
-        if self._getters:
-            self._getters.popleft().succeed(item)
-        else:
-            self._items.append(item)
-
-    def get(self) -> Event:
-        ev = self.sim.event()
-        if self._items:
-            ev.succeed(self._items.popleft())
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get; None when empty."""
-        return self._items.popleft() if self._items else None

@@ -43,6 +43,11 @@ CASES: dict[str, tuple[tuple, tuple[str, ...]]] = {
     "tenants": (("tenants", "--quick"), ("multi_tenant.csv", "multi_tenant.json")),
     "stragglers": (("stragglers",), ("stragglers.csv", "stragglers.json")),
     "capacity": (("capacity", "--quick"), ("capacity.json",)),
+    "gridmix": (("gridmix", "--quick"), ("gridmix.json",)),
+    "ablation_compression": (
+        ("ablation_compression", "--quick"),
+        ("ablation_compression.json",),
+    ),
     "trace-fig6": (
         ("trace", "fig6", "--size", "64MB", "--stream"),
         ("fig6.hadoop.store.jsonl", "fig6.mpid.store.jsonl"),
@@ -79,7 +84,12 @@ CASES: dict[str, tuple[tuple, tuple[str, ...]]] = {
     ),
 }
 #: Cases over ~3 s; they run in CI's slow-tests job (``-m slow``).
-SLOW = frozenset({"table1", "network_faults", "tenants", "stragglers"})
+SLOW = frozenset(
+    {
+        "table1", "network_faults", "tenants", "stragglers", "gridmix",
+        "ablation_compression",
+    }
+)
 
 
 def _argvs(case: str, out_dir: Path) -> list[list[str]]:

@@ -6,11 +6,19 @@ timestamp.  These tests pin that: the headline Figure-6 numbers are
 *exactly* equal (``==`` on floats, no tolerance) with tracing on and
 off, and the untraced numbers match the values the seed produced before
 the observability subsystem existed.
+
+An untraced MPI-D mapper takes the fused schedule where it can and a
+traced one always steps, so the MPI-D cases compare whole exports: the
+Fig 6 job, a compressed sort (the compress step of both chains), a sort
+with more ranks than cores per node (stepped on both sides) and a
+skewed sort whose first reducer receives nothing.
 """
+
+import json
 
 import pytest
 
-from repro.hadoop import HadoopConfig, JobSpec, WORDCOUNT_PROFILE
+from repro.hadoop import JAVASORT_PROFILE, HadoopConfig, JobSpec, WORDCOUNT_PROFILE
 from repro.hadoop.simulation import HadoopSimulation
 from repro.mrmpi import MrMpiConfig
 from repro.mrmpi.simulator import MrMpiSimulation
@@ -41,13 +49,35 @@ def _hadoop(observe: bool) -> float:
     return sim.run().elapsed
 
 
-def _mpid(observe: bool) -> float:
-    sim = MrMpiSimulation(
-        spec=_spec(),
-        config=MrMpiConfig(num_mappers=49, num_reducers=1),
-        observe=observe,
+def _mpid(spec: JobSpec, config: MrMpiConfig, observe: bool) -> tuple[float, str]:
+    m = MrMpiSimulation(spec=spec, config=config, observe=observe).run()
+    return m.elapsed, json.dumps(m.to_dict(), sort_keys=True)
+
+
+def _sort_1gb(**kwargs) -> JobSpec:
+    return JobSpec(
+        name="sort-1g", input_bytes=GiB, profile=JAVASORT_PROFILE, **kwargs
     )
-    return sim.run().elapsed
+
+
+#: (spec, config) of the javaSort cases; the Fig 6 case is separate.
+MPID_SORTS = [
+    pytest.param(
+        _sort_1gb(),
+        MrMpiConfig(num_mappers=35, num_reducers=14, compress=True),
+        id="sort-35x14-compress",
+    ),
+    pytest.param(
+        _sort_1gb(),
+        MrMpiConfig(num_mappers=49, num_reducers=14),
+        id="sort-49x14-9-ranks-per-node",
+    ),
+    pytest.param(
+        _sort_1gb(partition_weights=(0.0, 6.0, 1.0, 1.0, 1.0, 1.0, 2.0)),
+        MrMpiConfig(num_mappers=28, num_reducers=7),
+        id="sort-28x7-skewed",
+    ),
+]
 
 
 class TestZeroCostWhenDisabled:
@@ -62,9 +92,16 @@ class TestZeroCostWhenDisabled:
         assert off == HADOOP_1GB
 
     def test_mpid_bit_for_bit(self):
-        off, on = _mpid(observe=False), _mpid(observe=True)
-        assert off == on
-        assert off == MPID_1GB
+        config = MrMpiConfig(num_mappers=49, num_reducers=1)
+        off = _mpid(_spec(), config, observe=False)
+        assert off == _mpid(_spec(), config, observe=True)
+        assert off[0] == MPID_1GB
+
+    @pytest.mark.parametrize("spec,config", MPID_SORTS)
+    def test_mpid_export_bit_for_bit(self, spec, config):
+        assert _mpid(spec, config, observe=False) == _mpid(
+            spec, config, observe=True
+        )
 
     def test_untraced_run_records_nothing(self):
         sim = HadoopSimulation(

@@ -18,16 +18,19 @@ swaps it into every cluster built afterwards.
 
 :class:`CheckedNetwork` is the production network with the flow
 invariants checked while it runs; :func:`use_checked_network` swaps it
-into every cluster built afterwards.
+into every cluster built afterwards.  :class:`CheckedSlotPool` does the
+same for slot occupancy, and :func:`use_checked_slot_pools` swaps it in
+wherever clusters and reduce tasks build their pools.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.hadoop import reducetask as reducetask_mod
 from repro.simnet import cluster as cluster_mod
 from repro.simnet.network import Flow, Link, Network
-from repro.simnet.resources import RateDevice
+from repro.simnet.resources import RateDevice, SlotPool
 
 
 class ScalarNetwork(Network):
@@ -288,4 +291,80 @@ def use_checked_network(monkeypatch) -> list[CheckedNetwork]:
         return net
 
     monkeypatch.setattr(cluster_mod, "Network", network)
+    return built
+
+
+class CheckedSlotPool(SlotPool):
+    """:class:`SlotPool` that checks its occupancy during a run.
+
+    * After every ``acquire``, ``release`` and ``cancel``: ``0 <= in_use
+      <= capacity``, and no request waits while a slot is free.
+    * :meth:`check_idle`, at the end of a run: no slot is held and no
+      request waits.
+
+    ``queued`` counts the requests that had to wait, so a test can tell
+    a pool that was never contended from one that was.  Violations are
+    recorded, not raised, as in :class:`CheckedNetwork`.
+    """
+
+    def __init__(self, sim, capacity: int, name: str = "slots"):
+        super().__init__(sim, capacity, name)
+        self.queued = 0
+        self.violations: list[str] = []
+
+    def acquire(self):
+        waiting = len(self._waiters)
+        request = super().acquire()
+        self.queued += len(self._waiters) - waiting
+        self._check("acquire")
+        return request
+
+    def release(self) -> None:
+        super().release()
+        self._check("release")
+
+    def cancel(self, request) -> None:
+        super().cancel(request)
+        self._check("cancel")
+
+    def _check(self, op: str) -> None:
+        if not 0 <= self._in_use <= self.capacity:
+            self.violations.append(
+                f"t={self.sim.now}: {op} left {self.name} at "
+                f"{self._in_use}/{self.capacity} slots in use"
+            )
+        elif self._waiters and self._in_use < self.capacity:
+            self.violations.append(
+                f"t={self.sim.now}: {op} left {len(self._waiters)} requests "
+                f"waiting on {self.name} with {self._in_use}/{self.capacity} "
+                f"slots in use"
+            )
+
+    def check_idle(self) -> None:
+        """Fail on any recorded violation, a held slot or a waiter."""
+        assert not self.violations, (
+            f"{len(self.violations)} violations, first: {self.violations[0]}"
+        )
+        assert self._in_use == 0, f"{self.name}: {self._in_use} slots held"
+        assert not self._waiters, (
+            f"{self.name}: {len(self._waiters)} requests waiting"
+        )
+
+
+def use_checked_slot_pools(monkeypatch) -> list[CheckedSlotPool]:
+    """Build every later node CPU pool and reduce-task copier pool as a
+    :class:`CheckedSlotPool` (undone by ``monkeypatch`` at test teardown).
+
+    Returns the list each checked pool joins as it is built, for the
+    test to call :meth:`CheckedSlotPool.check_idle` on.
+    """
+    built: list[CheckedSlotPool] = []
+
+    def slot_pool(sim, capacity: int, name: str = "slots") -> CheckedSlotPool:
+        pool = CheckedSlotPool(sim, capacity, name)
+        built.append(pool)
+        return pool
+
+    monkeypatch.setattr(cluster_mod, "SlotPool", slot_pool)
+    monkeypatch.setattr(reducetask_mod, "SlotPool", slot_pool)
     return built

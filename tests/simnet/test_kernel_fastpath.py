@@ -1,9 +1,13 @@
-"""Tests for the kernel's lazy cancellation and bounded runs.
+"""Tests for the kernel's lazy cancellation, pooled ticks and bounded runs.
 
 * **tombstone cancellation** — ``Event.cancel()`` must keep drain
   semantics (a popped tombstone still advances the clock) while
   dispatching nothing, and yielding on a cancelled event must be a hard
   error, not a silent hang;
+* **pooled ticks** — ``tick(d)`` fires where ``timeout(d)`` would,
+  ``tick_at(t)`` fires at exactly the float ``t`` (the fused MPI-D
+  mapper chain rests on this), and a recycled tick carries nothing over
+  from its previous use;
 * **bounded runs** — ``run(until=...)`` stops before later events and
   ``peek()`` reports the next pending instant.
 
@@ -89,6 +93,81 @@ def test_cancel_storm_keeps_survivors_ordering():
     assert fired == expect
     assert sim.events_cancelled == 200
     assert sim.events_dispatched == 100
+
+
+# ---------------------------------------------------------------------------
+# pooled ticks
+# ---------------------------------------------------------------------------
+
+
+def test_tick_and_timeout_of_one_delay_fire_together_in_creation_order():
+    sim = Simulator()
+    fired = []
+
+    def record(label):
+        return lambda ev: fired.append((label, sim.now))
+
+    def make_timers():
+        yield sim.timeout(0.1)
+        sim.tick(0.2, record("tick"))
+        sim.timeout(0.2).callbacks.append(record("timeout"))
+        sim.timeout(0.2).callbacks.append(record("timeout-2"))
+        sim.tick(0.2, record("tick-2"))
+
+    sim.process(make_timers(), name="make-timers")
+    sim.run()
+    t = 0.1 + 0.2
+    assert fired == [("tick", t), ("timeout", t), ("timeout-2", t), ("tick-2", t)]
+
+
+def test_tick_at_fires_at_the_accumulated_instant():
+    a, b, c = 0.1, 0.2, 0.3
+    when = (a + b) + c
+    assert when != a + (b + c)  # the association is visible in the float
+    sim = Simulator()
+    resumed = []
+
+    def fused():
+        yield sim.timeout(a)
+        yield sim.tick_at((sim.now + b) + c)
+        resumed.append(("fused", sim.now))
+
+    def stepped():
+        for delay in (a, b, c):
+            yield sim.timeout(delay)
+        resumed.append(("stepped", sim.now))
+
+    sim.process(fused(), name="fused")
+    sim.process(stepped(), name="stepped")
+    sim.run()
+    assert resumed == [("fused", when), ("stepped", when)]
+
+
+def test_tick_in_the_past_raises():
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.run()
+    with pytest.raises(ValueError, match="past"):
+        sim.tick_at(0.5)
+    with pytest.raises(ValueError, match="negative"):
+        sim.tick(-0.5)
+
+
+def test_cancelled_tick_returns_to_the_pool_clean():
+    sim = Simulator()
+    fired = []
+    stale = sim.tick(1.0, lambda ev: fired.append("stale"))
+    stale._value = "left over"  # nothing may survive a trip through the pool
+    stale.cancel()
+    sim.run()
+    assert fired == [] and sim.now == 1.0
+    fresh = sim.tick(1.0, lambda ev: fired.append("fresh"))
+    assert fresh is stale  # reissued from the pool
+    assert not fresh.cancelled
+    assert fresh.value is None
+    assert len(fresh.callbacks) == 1
+    sim.run()
+    assert fired == ["fresh"] and sim.now == 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
-"""Tests for SlotPool, RateDevice (processor sharing), Store."""
+"""Tests for SlotPool and RateDevice (processor sharing)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet.kernel import SimError, Simulator
-from repro.simnet.resources import RateDevice, SlotPool, Store
+from repro.simnet.resources import RateDevice, SlotPool
 
 
 class TestSlotPool:
@@ -168,58 +168,3 @@ class TestRateDevice:
 
         sim.process(proc(sim))
         assert sim.run() == pytest.approx(2.0)
-
-
-class TestStore:
-    def test_put_then_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put("x")
-        got = []
-
-        def proc(sim):
-            got.append((yield store.get()))
-
-        sim.process(proc(sim))
-        sim.run()
-        assert got == ["x"]
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def getter(sim):
-            got.append(((yield store.get()), sim.now))
-
-        def putter(sim):
-            yield sim.timeout(4.0)
-            store.put("late")
-
-        sim.process(getter(sim))
-        sim.process(putter(sim))
-        sim.run()
-        assert got == [("late", 4.0)]
-
-    def test_fifo_item_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        for i in range(5):
-            store.put(i)
-        got = []
-
-        def proc(sim):
-            for _ in range(5):
-                got.append((yield store.get()))
-
-        sim.process(proc(sim))
-        sim.run()
-        assert got == [0, 1, 2, 3, 4]
-
-    def test_try_get(self):
-        sim = Simulator()
-        store = Store(sim)
-        assert store.try_get() is None
-        store.put(9)
-        assert store.try_get() == 9
-        assert len(store) == 0
